@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from . import jsonio
 from .approx import DEFAULT_SEED, BicomplexRational, FitBudget, approximate
 from .core import Bicomplex, ExtendedBicomplex, Hyperbolic
-from .errors import NullConeError
+from .errors import IllConditionedError, NullConeError
 from .funcspec import FunctionSpec
 from .moebius import MoebiusMap, moebius_apply
 from .regions import ProductCompact
 from .series import (
-    KIND_LAURENT,
     KIND_POWER,
     TruncatedSeries,
     area_contour_estimate,
@@ -31,8 +30,6 @@ from .series import (
     gronwall_area_sum,
     inversion_transform,
     koebe_covering_min,
-    laurent_series,
-    power_series,
     series_eval,
     sqrt_transform,
 )
@@ -125,11 +122,10 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = jsonio.dumps(report)
     if out:
         jsonio.dump_path(report, out)
     else:
-        print(text)
+        print(jsonio.dumps(report))
 
 
 def _hyp_json(h: Hyperbolic) -> dict:
@@ -179,18 +175,10 @@ def cmd_approx(cfg: JobConfig) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _truncate(series: TruncatedSeries, order: int) -> TruncatedSeries:
-    if order >= series.order:
-        return series
-    if series.kind == KIND_POWER:
-        return power_series(series.coeffs[: order + 1])
-    return laurent_series(series.coeffs[: order + 2])
-
-
 def cmd_verify(cfg: JobConfig) -> int:
     series = TruncatedSeries.from_json(jsonio.load_path(cfg.series_path))
     if cfg.order is not None:
-        series = _truncate(series, cfg.order)
+        series = series.truncated(cfg.order)
     trace: dict = {"kind": series.kind, "N": series.order}
 
     if cfg.functional == "bieberbach":
@@ -306,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except NullConeError as exc:
         print(_error_payload("null-cone", exc), file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, IllConditionedError) as exc:
         print(_error_payload("input", exc), file=sys.stderr)
         return 2
 

@@ -238,13 +238,17 @@ class Bicomplex:
     def from_json(obj: dict) -> Bicomplex:
         """Read either the idempotent form {"b1", "b2"} or the cartesian
         form {"z1", "z2"}."""
-        if "b1" in obj and "b2" in obj:
-            return Bicomplex(_pair_to_complex(obj["b1"]), _pair_to_complex(obj["b2"]))
-        if "z1" in obj and "z2" in obj:
-            return Bicomplex.from_cartesian(
-                _pair_to_complex(obj["z1"]), _pair_to_complex(obj["z2"])
-            )
-        raise ValueError("bicomplex JSON needs keys b1/b2 or z1/z2")
+        return Bicomplex(*idempotent_pair_from_json(obj))
+
+
+def idempotent_pair_from_json(obj: dict) -> tuple[complex, complex]:
+    """The idempotent pair (beta1, beta2) of a bicomplex JSON object in
+    either accepted form, without building a :class:`Bicomplex`."""
+    if "b1" in obj and "b2" in obj:
+        return (_pair_to_complex(obj["b1"]), _pair_to_complex(obj["b2"]))
+    if "z1" in obj and "z2" in obj:
+        return idempotent_decompose(_pair_to_complex(obj["z1"]), _pair_to_complex(obj["z2"]))
+    raise ValueError("bicomplex JSON needs keys b1/b2 or z1/z2")
 
 
 def _pair_to_complex(v) -> complex:

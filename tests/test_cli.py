@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bcapprox
@@ -16,10 +17,13 @@ from bcapprox import (
     FunctionSpec,
     ProductCompact,
     exp,
+    gronwall_area_sum,
+    inversion_transform,
     jsonio,
     koebe_rotation_series,
     laurent_series,
     power_series,
+    sqrt_transform,
     var,
 )
 from bcapprox.funcspec import Const, Div, Var
@@ -139,6 +143,25 @@ def test_approx_bad_eps_exit2(workdir):
     assert r.returncode == 2
 
 
+def test_approx_undersampled_basis_exit2(workdir):
+    # 8 boundary samples cannot carry an orthonormal basis of degree 40
+    func = FunctionSpec(exp(var()), exp(var()))
+    jsonio.dump_path(func.to_json(), workdir / "f_exp.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_exp.json", "--region", "k_bidisk.json",
+            "--eps", "1e-8", "--samples", "8", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert "orthonormal basis" in payload["detail"]
+    assert not (workdir / "rep.json").exists()
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -192,6 +215,45 @@ def test_verify_koebe_functional(workdir):
 def test_verify_malformed_series_exit2(workdir):
     r = run_cli(["verify", "--series", "broken.json", "--area"], workdir)
     assert r.returncode == 2
+
+
+def _drawn_coeffs(rng, count, scale):
+    re1, im1, re2, im2 = rng.uniform(-1, 1, (4, count)) * scale
+    return [Bicomplex(complex(a, b), complex(c, d)) for a, b, c, d in zip(re1, im1, re2, im2)]
+
+
+def test_verify_order_retruncates_power_series(workdir):
+    rng = np.random.default_rng(40)
+    coeffs = [0, 1, *_drawn_coeffs(rng, 19, 0.5 ** np.arange(2, 21))]
+    jsonio.dump_path(power_series(coeffs).to_json(), workdir / "f20.json")
+    r = run_cli(["verify", "--series", "f20.json", "--area", "--order", "7"], workdir)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["trace"]["N"] == 7
+    assert rep["trace"]["tail_N"] == 2 * 7 - 3
+    want = gronwall_area_sum(inversion_transform(sqrt_transform(power_series(coeffs[:8]))))
+    full = gronwall_area_sum(inversion_transform(sqrt_transform(power_series(coeffs))))
+    assert rep["value"]["a1"] == pytest.approx(want.a1, rel=1e-14)
+    assert rep["value"]["a2"] == pytest.approx(want.a2, rel=1e-14)
+    assert abs(rep["value"]["a1"] - full.a1) > 1e-6  # the cut is visible
+
+
+def test_verify_order_retruncates_laurent_series(workdir):
+    rng = np.random.default_rng(41)
+    coeffs = [1, 0.25, *_drawn_coeffs(rng, 12, 0.15)]
+    jsonio.dump_path(laurent_series(coeffs).to_json(), workdir / "g12.json")
+    r = run_cli(["verify", "--series", "g12.json", "--area", "--order", "5"], workdir)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["trace"] == {"kind": "laurent-Sigma", "N": 5}
+    want = gronwall_area_sum(laurent_series(coeffs[:7]))
+    assert rep["value"] == {"a1": want.a1, "a2": want.a2}
+    # an order at or above N leaves the series as read; a negative one is bad input
+    r = run_cli(["verify", "--series", "g12.json", "--area", "--order", "40"], workdir)
+    assert json.loads(r.stdout)["trace"]["N"] == 12
+    r = run_cli(["verify", "--series", "g12.json", "--area", "--order", "-3"], workdir)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "input"
 
 
 # -- eval -----------------------------------------------------------------------
@@ -256,6 +318,15 @@ def test_reports_byte_identical_across_runs(workdir):
     assert r1.returncode == 0, r1.stderr
     assert r2.returncode == 0, r2.stderr
     assert (workdir / "v1.json").read_bytes() == (workdir / "v2.json").read_bytes()
+
+
+def test_out_file_matches_stdout(workdir):
+    vargs = ["verify", "--series", "koebe.json", "--bieberbach"]
+    r1 = run_cli(vargs, workdir)
+    r2 = run_cli([*vargs, "--out", "v.json"], workdir)
+    assert r1.returncode == 0 and r2.returncode == 0
+    assert r2.stdout == ""
+    assert (workdir / "v.json").read_text(encoding="ascii") == r1.stdout
 
 
 def test_env_seed_overrides_flag(workdir):

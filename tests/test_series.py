@@ -1,7 +1,9 @@
 """Series transforms and univalence functionals against independent oracles."""
 
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from bcapprox import (
     gronwall_area_sum,
     identity_series,
     inversion_transform,
+    jsonio,
     koebe_covering_min,
     koebe_rotation_series,
     laurent_series,
@@ -78,6 +81,38 @@ def test_series_json_roundtrip():
     assert again == s
     with pytest.raises(ValueError):
         TruncatedSeries.from_json({"kind": "power-F", "N": 9, "coeffs": s.to_json()["coeffs"]})
+
+
+def test_series_json_roundtrip_large():
+    s = koebe_rotation_series(Bicomplex(np.exp(0.7j), np.exp(-2.3j)), 2048)
+    again = TruncatedSeries.from_json(json.loads(jsonio.dumps(s.to_json())))
+    assert again == s and again.order == 2048
+    g = laurent_series([1, 0.5, *s.coeffs[2:]])
+    assert TruncatedSeries.from_json(json.loads(jsonio.dumps(g.to_json()))) == g
+
+
+def test_series_json_cartesian_form():
+    s = koebe_rotation_series(Bicomplex(-1, 1j), 6)
+    cart = [{"z1": [c.z1.real, c.z1.imag], "z2": [c.z2.real, c.z2.imag]} for c in s.coeffs]
+    again = TruncatedSeries.from_json({"kind": "power-F", "N": 6, "coeffs": cart})
+    assert np.allclose(again.slots, s.slots, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_json({"kind": "power-F", "coeffs": [{"z1": [0, 0]}, {"b1": 1, "b2": 1}]})
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_json({"kind": "power-F", "coeffs": [{"b1": [0, 0], "b2": [0, 1]}, {"b1": 1, "b2": 1}]})
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_json({"kind": "taylor", "coeffs": []})
+
+
+def test_coefficient_array_is_read_only():
+    s = power_series([0, 1, Bicomplex(0.5, -0.25j)])
+    assert s.slots.shape == (2, 3) and not s.slots.flags.writeable
+    with pytest.raises(ValueError):
+        s.slots[0, 2] = 3.0
+    with pytest.raises(ValueError):
+        s.slot(2)[2] = 3.0
+    assert s.slot(2)[2] == -0.25j and s.coeffs[2] == Bicomplex(0.5, -0.25j)
+    assert not s.truncated(1).slots.flags.writeable
 
 
 # -- rotation family -------------------------------------------------------------
@@ -156,6 +191,68 @@ def test_sqrt_matches_reference_per_slot():
         mine = g.slot(slot)
         for i in range(len(r)):
             assert abs(mine[i] - r[i]) < 1e-12
+
+
+def test_sqrt_and_inversion_koebe_closed_form_large():
+    # Koebe with a distinct rotation per slot: F = Z/(1 + B Z)^2 has
+    # G = Z/(1 + B Z^2), odd coefficients (-B)^k, and H = Z + B/Z, so B_1 = B,
+    # every other tail coefficient vanishes and the area sum is |B|_k^2 = 1.
+    # Rounding in the recurrences grows like N^2 eps, about 1e-9 at N = 2048.
+    n = 2048
+    b = np.array([np.exp(0.9j), np.exp(-2.2j)])
+    f = koebe_rotation_series(Bicomplex(*b), n)
+    g = sqrt_transform(f)
+    assert g.order == 2 * n - 1
+    assert not g.slots[:, 0::2].any()
+    odd = (-b[:, None]) ** np.arange(n)
+    assert np.max(np.abs(g.slots[:, 1::2] - odd)) < 1e-8
+    h = inversion_transform(g)
+    assert h.kind == "laurent-Sigma" and h.order == 2 * n - 3
+    assert np.max(np.abs(h.slots[:, 2] - b)) < 1e-12
+    assert not h.slots[:, 1].any() and not h.slots[:, 3::2].any()
+    assert np.max(np.abs(h.slots[:, 4:])) < 1e-8
+    area = gronwall_area_sum(h)
+    assert abs(area.a1 - 1) < 1e-9 and abs(area.a2 - 1) < 1e-9
+
+
+def _mp_root_and_reciprocal(a):
+    """h = (F(w)/w)^(1/2) and q = 1/h at 50 digits, from the double inputs."""
+    with mpmath.workdps(50):
+        p = [mpmath.mpc(complex(x)) for x in a[1:]]
+        h = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (len(p) - 1)
+        q = list(h)
+        for k in range(1, len(p)):
+            h[k] = (p[k] - mpmath.fsum(h[j] * h[k - j] for j in range(1, k))) / 2
+        for k in range(1, len(p)):
+            q[k] = -mpmath.fsum(h[j] * q[k - j] for j in range(1, k + 1))
+        return [complex(x) for x in h], [complex(x) for x in q]
+
+
+def _rel_err(mine, want):
+    return max(abs(m - w) / abs(w) for m, w in zip(mine, want))
+
+
+@pytest.mark.parametrize("seed,growing", [(30, True), (31, False)])
+def test_transforms_match_mpmath(seed, growing):
+    # |A_n|_k <= n makes h and q grow to ~1e20; 0.6^n makes them decay
+    rng = np.random.default_rng(seed)
+    if growing:
+        f = rand_power_series(rng, 64)
+    else:
+        coeffs = [Bicomplex.from_scalar(0), Bicomplex.from_scalar(1)]
+        for k in range(2, 65):
+            re1, im1, re2, im2 = rng.uniform(-1, 1, 4) * 0.6**k
+            coeffs.append(Bicomplex(complex(re1, im1), complex(re2, im2)))
+        f = power_series(coeffs)
+    g = sqrt_transform(f)
+    h = inversion_transform(g)
+    # the same odd series rebuilt from its coefficients runs the reciprocal alone
+    h_alone = inversion_transform(power_series(g.coeffs))
+    assert h_alone == h
+    for slot in (1, 2):
+        want_h, want_q = _mp_root_and_reciprocal(f.slot(slot))
+        assert _rel_err(g.slot(slot)[1::2], want_h) < 1e-12
+        assert _rel_err(h.slot(slot)[2::2], want_q[1:]) < 1e-12
 
 
 # -- inversion transform ------------------------------------------------------------
