@@ -8,12 +8,15 @@ region; the complement pattern of the product compact decides the form:
     T3 (mirror)                       polynomial slot 1, rational slot 2
     T1 (both have holes)              rational x rational
 
-Polynomial fits use a degree-escalating orthonormal basis built by the
-Vandermonde-with-Arnoldi device: each new power is orthogonalized against
-the previous basis vectors on the sample set, which keeps the least-squares
-problem well conditioned far beyond where raw monomials give up.  Rational
-fits append prescribed-pole columns (z - p)^-m, one pole per bounded
-complement component, and escalate degree and pole orders jointly.
+Both forms come out of one escalation loop; a polynomial is the rational
+case with no poles.  Step t adds the degree-t polynomial, built by the
+Vandermonde-with-Arnoldi device (each new power orthogonalized against the
+previous polynomials on the sample set, which keeps the basis well
+conditioned far beyond where raw monomials give up), then order t+1 of each
+prescribed pole (z - p)^-m, one pole per bounded complement component.
+Every new column is orthonormalized once against all earlier ones, so the
+least-squares fit grows by one coefficient per column and is exported to
+monomial and partial-fraction form only when a step meets the target.
 
 Errors are always measured on a validation sample four times denser than
 the fitting sample, as a per-slot sup norm; the pair of slot sup errors is
@@ -173,80 +176,13 @@ class BicomplexRational:
         )
 
 
-# -- orthonormal polynomial basis on a sample set -----------------------------
-
-
-class _ArnoldiBasis:
-    """Orthonormal polynomial columns on a fixed sample set.
-
-    Column k spans degrees <= k; the Hessenberg recurrence lets the same
-    polynomials be evaluated on any other point set and converted to
-    monomial coefficients.
-    """
-
-    def __init__(self, w: np.ndarray, degree: int):
-        m = len(w)
-        if m < degree + 2:
-            raise IllConditionedError(
-                f"{m} samples cannot support an orthonormal basis of degree {degree}"
-            )
-        q = np.zeros((m, degree + 1), dtype=complex)
-        h = np.zeros((degree + 2, degree + 1), dtype=complex)
-        q[:, 0] = 1.0 / math.sqrt(m)
-        for k in range(degree):
-            v = w * q[:, k]
-            ref = np.linalg.norm(v)
-            for _ in range(2):  # two Gram-Schmidt passes
-                for i in range(k + 1):
-                    c = np.vdot(q[:, i], v)
-                    h[i, k] += c
-                    v -= c * q[:, i]
-            nrm = np.linalg.norm(v)
-            if nrm <= 1e-14 * max(ref, 1e-300):
-                raise IllConditionedError(
-                    f"orthogonalization collapsed at degree {k + 1}; the sample "
-                    "set cannot resolve this degree"
-                )
-            h[k + 1, k] = nrm
-            q[:, k + 1] = v / nrm
-        self.nsamples = m
-        self.degree = degree
-        self.q = q
-        self.h = h
-
-    def columns_at(self, w: np.ndarray, degree: int | None = None) -> np.ndarray:
-        d = self.degree if degree is None else degree
-        out = np.zeros((len(w), d + 1), dtype=complex)
-        out[:, 0] = 1.0 / math.sqrt(self.nsamples)
-        for k in range(d):
-            v = w * out[:, k]
-            for i in range(k + 1):
-                v = v - self.h[i, k] * out[:, i]
-            out[:, k + 1] = v / self.h[k + 1, k]
-        return out
-
-    def monomial_coeffs(self, coef: np.ndarray) -> np.ndarray:
-        """Ascending monomial coefficients (in w) of sum_k coef[k] * p_k(w)."""
-        d = len(coef) - 1
-        basis = [np.array([1.0 / math.sqrt(self.nsamples)], dtype=complex)]
-        for k in range(d):
-            c = np.zeros(k + 2, dtype=complex)
-            c[1:] = basis[k]
-            for i in range(k + 1):
-                c[: i + 1] -= self.h[i, k] * basis[i]
-            basis.append(c / self.h[k + 1, k])
-        out = np.zeros(d + 1, dtype=complex)
-        for k, b in enumerate(basis):
-            out[: k + 1] += coef[k] * b
-        return out
-
-
 # -- slot fitting --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SlotFit:
-    """Outcome of one slot fit."""
+    """Outcome of one slot fit.  ``samples`` counts the fit and validation
+    points the fit actually used."""
 
     approximant: SlotRational
     sup_error: float
@@ -254,29 +190,145 @@ class SlotFit:
     pole_orders: tuple[int, ...]
     achieved: bool
     trace: tuple[tuple[int, tuple[int, ...], float], ...]
+    samples: dict[str, int]
 
 
 def _fvals(f, pts: np.ndarray) -> np.ndarray:
-    if isinstance(f, Expr):
-        return np.asarray(f.evaluate(pts), dtype=complex)
-    return np.asarray(f(pts), dtype=complex)
+    """Values of f on pts; a non-finite value is an undeclared singularity."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f.evaluate(pts) if isinstance(f, Expr) else f(pts), dtype=complex)
+    bad = pts[~np.isfinite(vals)]
+    if len(bad):
+        shown = ", ".join(f"{complex(z):.6g}" for z in bad[:3])
+        raise DomainError(
+            f"slot function is not finite at {len(bad)} sample point(s), e.g. {shown}; "
+            "it has an undeclared singularity on the region or overflows there"
+        )
+    return vals
 
 
-def _default_samples(max_degree: int, total_order: int) -> tuple[int, int]:
-    nb = max(240, 6 * (max_degree + total_order + 1))
-    return nb, nb // 2
+def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: str):
+    """Two-pass classical Gram-Schmidt of v against the orthonormal columns
+    of basis: returns the projection coefficients h, the remaining norm and
+    the new unit column, so that v = basis @ h + norm * column."""
+    ref = np.linalg.norm(v)
+    h = (v.conj() @ basis).conj()
+    v = v - basis @ h
+    h2 = (v.conj() @ basis).conj()
+    v = v - basis @ h2
+    nrm = np.linalg.norm(v)
+    if nrm <= 1e-14 * max(ref, 1e-300):
+        raise IllConditionedError(
+            f"orthogonalization collapsed at {what}; the sample set cannot resolve it"
+        )
+    return h + h2, nrm, v / nrm
 
 
-def _fit_points(region: PlanarRegion, n_boundary, n_interior, seed, max_degree, total_order):
+def _escalate(f, region, poles, eps, max_degree, n_boundary, n_interior, seed) -> SlotFit:
+    """The one escalation loop behind both slot fitters (see the module
+    docstring).  Each column added on the fit sample is replayed on the
+    validation sample by the same recurrence, so a step costs one projection
+    coefficient and one residual update per column.  A step whose residual
+    reaches eps is exported and accepted when the exported approximant meets
+    eps on the validation sample too.
+    """
+    if eps <= 0:
+        raise DomainError("error target must be positive")
+    caps = [cap for _, cap in poles]
+    ncols = max_degree + 1 + sum(caps)
     if n_boundary is None or n_interior is None:
-        db, di = _default_samples(max_degree, total_order)
-        n_boundary = db if n_boundary is None else n_boundary
-        n_interior = di if n_interior is None else n_interior
+        nb = max(240, 6 * ncols)
+        n_boundary = nb if n_boundary is None else n_boundary
+        n_interior = nb // 2 if n_interior is None else n_interior
     fit = sample_region(region, n_boundary, n_interior, seed)
-    val = sample_region(
-        region, 4 * n_boundary, 4 * n_interior, seed + _VALIDATION_SEED_OFFSET
+    val = sample_region(region, 4 * n_boundary, 4 * n_interior, seed + _VALIDATION_SEED_OFFSET)
+    zf, zv = fit.all_points, val.all_points
+    m = len(zf)
+    if m < ncols + 1:
+        raise IllConditionedError(
+            f"{m} samples cannot support an orthonormal basis of degree {max_degree} "
+            f"with pole orders {tuple(caps)}"
+        )
+    f_fit, f_val = _fvals(f, zf), _fvals(f, zv)
+    center, scale = region.center_scale()
+    w, wv = (zf - center) / scale, (zv - center) / scale
+
+    # Arnoldi polynomials on both samples and their ascending monomial
+    # coefficients in w (column d holds p_d, an upper triangular matrix)
+    p_fit = np.empty((m, max_degree + 1), dtype=complex)
+    p_val = np.empty((len(zv), max_degree + 1), dtype=complex)
+    mono = np.zeros((max_degree + 1, max_degree + 1), dtype=complex)
+    # least-squares basis: the columns in the order added, orthonormalized;
+    # column k = (added column k - q[:, :k] @ r[:k, k]) / r[k, k]
+    q_fit = np.empty((m, ncols), dtype=complex)
+    q_val = np.empty((len(zv), ncols), dtype=complex)
+    r = np.zeros((ncols, ncols), dtype=complex)
+    coef = np.empty(ncols, dtype=complex)
+    owner = np.empty(ncols, dtype=int)  # -1 for a polynomial column, else the pole
+    resid = f_val.copy()
+
+    def export(k, d, orders) -> SlotRational:
+        a = np.linalg.solve(r[:k, :k], coef[:k])
+        poly = mono[: d + 1, : d + 1] @ a[owner[:k] == -1]
+        blocks = tuple(
+            PoleTerm(p, o, tuple(complex(c) for c in a[owner[:k] == j]))
+            for j, ((p, _), o) in enumerate(zip(poles, orders))
+        )
+        return SlotRational(center, scale, tuple(complex(c) for c in poly), blocks)
+
+    samples = {
+        "n_boundary": len(fit.boundary),
+        "n_interior": len(fit.interior),
+        "n_validation_boundary": len(val.boundary),
+        "n_validation_interior": len(val.interior),
+    }
+    trace: list[tuple[int, tuple[int, ...], float]] = []
+    best = (math.inf, 0, 0, ())
+    k = d = 0
+    for t in range(max(max_degree, max(caps, default=0) - 1) + 1):
+        new = []
+        if t <= max_degree:
+            if t == 0:
+                p_fit[:, 0] = p_val[:, 0] = mono[0, 0] = 1.0 / math.sqrt(m)
+            else:
+                h, nrm, p_fit[:, t] = _orthonormalize(
+                    p_fit[:, :t], w * p_fit[:, t - 1], f"degree {t}"
+                )
+                p_val[:, t] = (wv * p_val[:, t - 1] - p_val[:, :t] @ h) / nrm
+                mono[1 : t + 1, t] = mono[:t, t - 1]
+                mono[: t + 1, t] = (mono[: t + 1, t] - mono[: t + 1, :t] @ h) / nrm
+            new.append((p_fit[:, t], p_val[:, t], -1, f"degree {t}"))
+            d = t
+        new += [
+            ((zf - p) ** -(t + 1), (zv - p) ** -(t + 1), j, f"pole order {t + 1} at {p}")
+            for j, (p, cap) in enumerate(poles)
+            if t < cap
+        ]
+        for a_fit, a_val, who, what in new:
+            h, nrm, q_fit[:, k] = _orthonormalize(q_fit[:, :k], a_fit, what)
+            q_val[:, k] = (a_val - q_val[:, :k] @ h) / nrm
+            r[:k, k], r[k, k], owner[k] = h, nrm, who
+            coef[k] = np.vdot(q_fit[:, k], f_fit)
+            resid -= coef[k] * q_val[:, k]
+            k += 1
+        orders = tuple(min(t + 1, cap) for cap in caps)
+        err = float(np.max(np.abs(resid)))
+        trace.append((d, orders, err))
+        if err < best[0]:
+            best = (err, k, d, orders)
+        if err <= eps:
+            sr = export(k, d, orders)
+            true_err = float(np.max(np.abs(f_val - sr(zv))))
+            if true_err <= eps:
+                return SlotFit(sr, true_err, d, orders, True, tuple(trace), samples)
+    _, k, d, orders = best
+    sr = export(k, d, orders)
+    err = float(np.max(np.abs(f_val - sr(zv))))
+    raise DegreeExceededError(
+        f"degree/order budget exhausted; best sup error {err:.3e} > {eps:.3e}",
+        SlotFit(sr, err, d, orders, False, tuple(trace), samples),
+        err,
     )
-    return fit, val, n_boundary, n_interior
 
 
 def fit_polynomial_slot(
@@ -291,53 +343,13 @@ def fit_polynomial_slot(
 ) -> SlotFit:
     """Least-squares polynomial fit with degree escalation.
 
-    Escalates through the orthonormal basis until the sup error on the
-    validation sample drops to eps; raises DegreeExceededError (carrying
-    the best fit) when the budget runs out.  Convergence is guaranteed
-    only when the region's complement is connected and f is holomorphic
-    on a neighborhood; calling it on a holed region is allowed and simply
-    tends to end in DegreeExceededError.
+    Escalates until the sup error on the validation sample drops to eps;
+    raises DegreeExceededError (carrying the best fit) when the budget runs
+    out.  Convergence is guaranteed only when the region's complement is
+    connected and f is holomorphic on a neighborhood; calling it on a holed
+    region is allowed and simply tends to end in DegreeExceededError.
     """
-    if eps <= 0:
-        raise DomainError("error target must be positive")
-    fit, val, _, _ = _fit_points(region, n_boundary, n_interior, seed, max_degree, 0)
-    zf = fit.all_points
-    zv = val.all_points
-    fvals = _fvals(f, zf)
-    fv = _fvals(f, zv)
-    center, scale = region.center_scale()
-    basis = _ArnoldiBasis((zf - center) / scale, max_degree)
-    coef_full = basis.q.conj().T @ fvals
-    wv = basis.columns_at((zv - center) / scale)
-
-    resid = fv.copy()
-    trace: list[tuple[int, tuple[int, ...], float]] = []
-    best_err = math.inf
-    best_deg = 0
-    for d in range(max_degree + 1):
-        resid = resid - coef_full[d] * wv[:, d]
-        err = float(np.max(np.abs(resid)))
-        trace.append((d, (), err))
-        if err < best_err:
-            best_err, best_deg = err, d
-        if err <= eps:
-            sr = SlotRational(
-                center, scale,
-                tuple(complex(c) for c in basis.monomial_coeffs(coef_full[: d + 1])),
-            )
-            true_err = float(np.max(np.abs(fv - sr(zv))))
-            if true_err <= eps:
-                return SlotFit(sr, true_err, d, (), True, tuple(trace))
-    sr = SlotRational(
-        center, scale,
-        tuple(complex(c) for c in basis.monomial_coeffs(coef_full[: best_deg + 1])),
-    )
-    err = float(np.max(np.abs(fv - sr(zv))))
-    raise DegreeExceededError(
-        f"degree budget {max_degree} exhausted; best sup error {err:.3e} > {eps:.3e}",
-        SlotFit(sr, err, best_deg, (), False, tuple(trace)),
-        err,
-    )
+    return _escalate(f, region, [], eps, max_degree, n_boundary, n_interior, seed)
 
 
 def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
@@ -380,70 +392,11 @@ def fit_rational_slot(
     degree/order escalation.
 
     poles is a sequence of (location, max_order); there must be exactly one
-    pole per bounded complement component, each in its own component.
+    pole per bounded complement component, each in its own component.  With
+    no poles this is fit_polynomial_slot.
     """
-    if eps <= 0:
-        raise DomainError("error target must be positive")
     poles = _validate_poles(region, poles)
-    caps = [cap for _, cap in poles]
-    fit, val, _, _ = _fit_points(
-        region, n_boundary, n_interior, seed, max_degree, sum(caps)
-    )
-    zf = fit.all_points
-    zv = val.all_points
-    fvals = _fvals(f, zf)
-    fv = _fvals(f, zv)
-    center, scale = region.center_scale()
-    basis = _ArnoldiBasis((zf - center) / scale, max_degree)
-    wv = basis.columns_at((zv - center) / scale)
-
-    # pole columns on the fit sample, column-normalized for conditioning
-    pole_cols = []
-    pole_norms = []
-    for p, cap in poles:
-        cols = np.stack([(zf - p) ** (-m_) for m_ in range(1, cap + 1)], axis=1)
-        norms = np.linalg.norm(cols, axis=0)
-        pole_cols.append(cols / norms)
-        pole_norms.append(norms)
-
-    trace: list[tuple[int, tuple[int, ...], float]] = []
-    best: SlotFit | None = None
-    tmax = max(max_degree, max(caps) - 1)
-    last_cfg = None
-    for t in range(tmax + 1):
-        d = min(t, max_degree)
-        orders = tuple(min(t + 1, cap) for cap in caps)
-        if (d, orders) == last_cfg:
-            continue
-        last_cfg = (d, orders)
-        cols = [basis.q[:, : d + 1]]
-        for j, (p, _cap) in enumerate(poles):
-            cols.append(pole_cols[j][:, : orders[j]])
-        a = np.hstack(cols)
-        coef, *_ = np.linalg.lstsq(a, fvals, rcond=None)
-        poly = tuple(complex(c) for c in basis.monomial_coeffs(coef[: d + 1]))
-        blocks = []
-        off = d + 1
-        for j, (p, _cap) in enumerate(poles):
-            raw = coef[off : off + orders[j]] / pole_norms[j][: orders[j]]
-            blocks.append(PoleTerm(p, orders[j], tuple(complex(c) for c in raw)))
-            off += orders[j]
-        sr = SlotRational(center, scale, poly, tuple(blocks))
-        err = float(np.max(np.abs(fv - sr(zv))))
-        trace.append((d, orders, err))
-        if best is None or err < best.sup_error:
-            best = SlotFit(sr, err, d, orders, False, ())
-        if err <= eps:
-            return SlotFit(sr, err, d, orders, True, tuple(trace))
-    assert best is not None
-    best = SlotFit(
-        best.approximant, best.sup_error, best.degree, best.pole_orders, False, tuple(trace)
-    )
-    raise DegreeExceededError(
-        f"degree/order budget exhausted; best sup error {best.sup_error:.3e} > {eps:.3e}",
-        best,
-        best.sup_error,
-    )
+    return _escalate(f, region, poles, eps, max_degree, n_boundary, n_interior, seed)
 
 
 # -- product-level driver ------------------------------------------------------
@@ -568,11 +521,6 @@ def approximate(
     rational = BicomplexRational(fits[0].approximant, fits[1].approximant)
     sup = Hyperbolic(fits[0].sup_error, fits[1].sup_error)
     achieved = sup.lt(Hyperbolic(eps, eps))
-    nb, ni = (n_boundary, n_interior)
-    if nb is None or ni is None:
-        db, di = _default_samples(budget.max_degree, budget.order_cap())
-        nb = db if nb is None else nb
-        ni = di if ni is None else ni
     report = ApproxReport(
         classification=cls.label,
         complement_counts=cls.counts,
@@ -583,12 +531,7 @@ def approximate(
         pole_orders=(fits[0].pole_orders, fits[1].pole_orders),
         pole_marker=rational.pole_marker(),
         pole_points=rational.pole_points_extended(),
-        samples={
-            "n_boundary": nb,
-            "n_interior": ni,
-            "n_validation_boundary": 4 * nb,
-            "n_validation_interior": 4 * ni,
-        },
+        samples={"slot1": fits[0].samples, "slot2": fits[1].samples},
         seed=seed,
         diagnostics=diagnostics,
     )

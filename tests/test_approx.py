@@ -1,9 +1,12 @@
 """Fitting engine: polynomial/rational slots, dispatch, error reporting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcapprox import (
     Annulus,
@@ -24,10 +27,12 @@ from bcapprox import (
     fit_polynomial_slot,
     fit_rational_slot,
     jsonio,
+    sample_region,
     sup_error_k,
     var,
 )
-from bcapprox.funcspec import Const, Div, Var
+from bcapprox.approx import _VALIDATION_SEED_OFFSET, DEFAULT_SEED
+from bcapprox.funcspec import Const, Div, Pow, Var
 
 UNIT_DISK = Disk(0, 1.0)
 ANNULUS = Annulus(0, 1.0, 2.0)
@@ -121,6 +126,117 @@ def test_pole_placement_validation():
         )  # same hole twice
 
 
+def test_undersampled_pole_columns_rejected_up_front():
+    # 90 fit points cannot carry 11 polynomial plus 80 pole columns
+    with pytest.raises(IllConditionedError, match="orthonormal basis"):
+        fit_rational_slot(INV_Z, ANNULUS, [(0j, 80)], 1e-8, 10, n_boundary=60, n_interior=30)
+
+
+# -- the escalation loop against a fresh least-squares solve ----------------------
+
+
+def _hessenberg_columns(w, wv, degree):
+    """Arnoldi polynomials built out to degree on w and replayed on wv."""
+    q = np.zeros((len(w), degree + 1), dtype=complex)
+    qv = np.zeros((len(wv), degree + 1), dtype=complex)
+    q[:, 0] = qv[:, 0] = 1.0 / math.sqrt(len(w))
+    for k in range(degree):
+        v, vv = w * q[:, k], wv * qv[:, k]
+        for _ in range(2):
+            for i in range(k + 1):
+                c = np.vdot(q[:, i], v)
+                v, vv = v - c * q[:, i], vv - c * qv[:, i]
+        nrm = np.linalg.norm(v)
+        q[:, k + 1], qv[:, k + 1] = v / nrm, vv / nrm
+    return q, qv
+
+
+@pytest.mark.parametrize(
+    "region, poles",
+    [(Disk(0.2, 1.0), []), (Annulus(0, 0.5, 1.0), [(0j, 30)])],
+    ids=["disk", "annulus-pole"],
+)
+def test_trace_matches_lstsq_reference(region, poles):
+    # every trace step's validation residual equals a fresh least-squares
+    # solve over the same columns: Arnoldi polynomials up to the step's
+    # degree plus column-normalized (z - p)^-m up to its pole orders
+    f = exp(var())
+    max_degree = 25
+    fit = fit_rational_slot(f, region, poles, 1e-12, max_degree)
+    assert fit.achieved and len(fit.trace) >= 14
+    n = fit.samples
+    zf = sample_region(region, n["n_boundary"], n["n_interior"], DEFAULT_SEED).all_points
+    zv = sample_region(
+        region, n["n_validation_boundary"], n["n_validation_interior"],
+        DEFAULT_SEED + _VALIDATION_SEED_OFFSET,
+    ).all_points
+    center, scale = region.center_scale()
+    q, qv = _hessenberg_columns((zf - center) / scale, (zv - center) / scale, max_degree)
+    ff, fv = f.evaluate(zf), f.evaluate(zv)
+    for d, orders, err in fit.trace:
+        cols = [q[:, : d + 1]]
+        cols_v = [qv[:, : d + 1]]
+        for (p, _), o in zip(poles, orders):
+            cols.append(np.stack([(zf - p) ** -m for m in range(1, o + 1)], axis=1))
+            cols_v.append(np.stack([(zv - p) ** -m for m in range(1, o + 1)], axis=1))
+        a, av = np.hstack(cols), np.hstack(cols_v)
+        norms = np.linalg.norm(a, axis=0)
+        coef, *_ = np.linalg.lstsq(a / norms, ff, rcond=None)
+        ref = float(np.max(np.abs(fv - (av / norms) @ coef)))
+        assert err == pytest.approx(ref, rel=1e-6, abs=1e-14), (d, orders)
+
+
+# -- undeclared singularities ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "expr", [Div(Const(1), Var() - 1), Pow(Var() - 1, -1)], ids=["div", "pow"]
+)
+def test_undeclared_pole_on_boundary_named(expr):
+    # 1/(z - 1) declares no pole, so check_poles_clear passes it; the pole
+    # sits on the unit circle, where a boundary sample lands on it
+    func = FunctionSpec(expr, var())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"not finite at 1 sample point\(s\), e\.g\. 1\+0j"):
+            approximate(func, ProductCompact(UNIT_DISK, UNIT_DISK), 1e-8)
+
+
+# -- properties ---------------------------------------------------------------------
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_reports_byte_identical_for_equal_seeds(seed):
+    func = FunctionSpec(INV_Z, exp(var()))
+    compact = ProductCompact(ANNULUS, UNIT_DISK)
+    runs = [approximate(func, compact, 1e-9, seed=seed) for _ in range(2)]
+    (r1, rep1), (r2, rep2) = runs
+    assert jsonio.dumps(rep1.to_json()) == jsonio.dumps(rep2.to_json())
+    assert jsonio.dumps(r1.to_json()) == jsonio.dumps(r2.to_json())
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    a=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    eps=st.sampled_from([1e-4, 1e-8, 1e-12]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_rational_fit_without_poles_is_the_polynomial_fit(a, eps, seed):
+    f = exp(Const(a) * var())
+
+    def outcome(fitter, *args):
+        try:
+            fit = fitter(*args, seed=seed)
+        except DegreeExceededError as exc:
+            fit = exc.best
+        return jsonio.dumps(fit.approximant.to_json()), fit.sup_error, fit.trace, fit.samples
+
+    assert outcome(fit_rational_slot, f, UNIT_DISK, [], eps, 20) == outcome(
+        fit_polynomial_slot, f, UNIT_DISK, eps, 20
+    )
+
+
 # -- product-level dispatch -------------------------------------------------------
 
 
@@ -202,6 +318,23 @@ def test_denominators_clear_of_region():
     pts = sample_region(ANNULUS, 64, 64, seed=5).all_points
     for block in rational.r1.poles:
         assert np.min(np.abs(pts - block.location)) > 0.5
+
+
+def test_report_samples_are_the_counts_each_slot_used():
+    # the two slots size their samples by their own column budgets
+    func = FunctionSpec(var(), exp(var()))
+    _, report = approximate(func, ProductCompact(UNIT_DISK, ANNULUS), 1e-8)
+    assert report.samples == {
+        "slot1": {
+            "n_boundary": 246, "n_interior": 123,
+            "n_validation_boundary": 984, "n_validation_interior": 492,
+        },
+        "slot2": {
+            "n_boundary": 486, "n_interior": 243,
+            "n_validation_boundary": 1944, "n_validation_interior": 972,
+        },
+    }
+    assert report.samples["slot1"] == fit_polynomial_slot(var(), UNIT_DISK, 1e-8, 40).samples
 
 
 def test_declared_pole_inside_region_rejected():

@@ -162,6 +162,26 @@ def test_approx_undersampled_basis_exit2(workdir):
     assert not (workdir / "rep.json").exists()
 
 
+def test_approx_undeclared_pole_exit2(workdir):
+    # 1/(z - 1) with no declared pole: its pole sits on the unit circle
+    jsonio.dump_path(
+        FunctionSpec(Div(Const(1), Var() - 1), var()).to_json(), workdir / "f_hidden.json"
+    )
+    r = run_cli(
+        [
+            "approx", "--function", "f_hidden.json", "--region", "k_bidisk.json",
+            "--eps", "1e-8", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert "not finite" in payload["detail"] and "1+0j" in payload["detail"]
+    assert not (workdir / "rep.json").exists()
+
+
 # -- verify ---------------------------------------------------------------------
 
 
