@@ -236,10 +236,10 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, n_interior, seed) -
         raise DomainError("error target must be positive")
     caps = [cap for _, cap in poles]
     ncols = max_degree + 1 + sum(caps)
-    if n_boundary is None or n_interior is None:
-        nb = max(240, 6 * ncols)
-        n_boundary = nb if n_boundary is None else n_boundary
-        n_interior = nb // 2 if n_interior is None else n_interior
+    if n_boundary is None:
+        n_boundary = max(240, 6 * ncols)
+    if n_interior is None:
+        n_interior = n_boundary // 2
     fit = sample_region(region, n_boundary, n_interior, seed)
     val = sample_region(region, 4 * n_boundary, 4 * n_interior, seed + _VALIDATION_SEED_OFFSET)
     zf, zv = fit.all_points, val.all_points
@@ -478,7 +478,6 @@ def approximate(
     for slot in (1, 2):
         region = compact.region(slot)
         expr = func.slot_expr(slot)
-        check_poles_clear(expr, region)
         req = requested[slot - 1]
         if req is None:
             plist = [(a, budget.order_cap()) for a in region.hole_anchor_points()]
@@ -486,6 +485,7 @@ def approximate(
             plist = [(complex(p), int(cap)) for p, cap in req]
         kwargs = dict(n_boundary=n_boundary, n_interior=n_interior, seed=seed)
         try:
+            check_poles_clear(expr, region)
             if plist:
                 fit = fit_rational_slot(
                     expr, region, plist, eps, budget.max_degree, **kwargs
@@ -496,12 +496,15 @@ def approximate(
         except DegreeExceededError as exc:
             fit = exc.best
             note = str(exc)
+        except DomainError as exc:
+            raise DomainError(f"slot {slot}: {exc}") from exc
         fits.append(fit)
         # denominator check: every pole must stay clear of the compact, so the
-        # bicomplex denominator never meets the null cone on K
+        # bicomplex denominator never meets the null cone on K.  The point of K
+        # nearest a pole in a hole lies on the boundary, which these points sample.
         clearance = None
         if fit.approximant.poles:
-            probe = sample_region(region, 64, 32, seed).all_points
+            probe = sample_region(region, 64, 0, seed).boundary
             clearance = min(
                 float(np.min(np.abs(probe - block.location)))
                 for block in fit.approximant.poles

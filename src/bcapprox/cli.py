@@ -160,10 +160,8 @@ def cmd_approx(cfg: JobConfig) -> int:
     compact = ProductCompact.from_json(jsonio.load_path(cfg.region_path))
     poles = _load_poles(cfg.poles_path)
     budget = FitBudget(max_degree=cfg.max_degree)
-    nb = cfg.samples
     rational, report = approximate(
-        func, compact, cfg.eps, budget, poles, seed=cfg.seed, n_boundary=nb,
-        n_interior=None if nb is None else nb // 2,
+        func, compact, cfg.eps, budget, poles, seed=cfg.seed, n_boundary=cfg.samples
     )
     payload = report.to_json()
     payload["command"] = "approx"

@@ -11,6 +11,14 @@ holes; the four patterns decide polynomial versus rational approximants
 per slot.  Classification reads the slot complements directly, so it
 serves equally whether or not the null cone is excised from the
 complement (excision changes no slot topology).
+
+Sampling is deterministic given the seed.  Boundary points are equispaced
+by arclength on every boundary curve.  Interior points are Owen-scrambled
+Halton points in bases 2 and 3 (Owen, "A randomized Halton algorithm in R",
+arXiv:1706.02808), their digit permutations drawn from
+``numpy.random.default_rng(seed)``, mapped to the bounding box and kept when
+inside the region; they are identical, bit for bit, to scipy's
+``qmc.Halton(d=2, scramble=True, seed=seed)``.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError, GeometryError
 
@@ -405,11 +412,55 @@ def _allocate_boundary(lengths: list[float], total: int) -> list[int]:
     return counts
 
 
+def _halton_tables(seed: int) -> list[np.ndarray]:
+    """Owen's random digit permutations for bases 2 and 3, one row per digit
+    that can still change a double (base**-k > 2**-54), each row stored as
+    permutation times digit weight base**-(k+1).  The weights come from
+    repeated division, as scipy's do; base**-k differs in the last bit."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for base in (2, 3):
+        rows = math.ceil(54 / math.log2(base)) - 1
+        # shuffles each row in turn, drawing as rng.shuffle(row) would
+        perms = rng.permuted(np.repeat(np.arange(base)[None], rows, axis=0), axis=1)
+        weights = np.empty(rows)
+        w = 1.0
+        for k in range(rows):
+            w /= base
+            weights[k] = w
+        tables.append(perms * weights[:, None])
+    return tables
+
+
+def _scrambled_radical_inverse(table: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Coordinates start .. start+n-1 in the base of one _halton_tables table.
+
+    Each sums its permuted digits from the least significant one up; past the
+    last digit of every index, each row adds its entry for digit 0.
+    """
+    base = table.shape[1]
+    q = np.arange(start, start + n)
+    acc = np.zeros(n)
+    ndigits = len(np.base_repr(start + n - 1, base))
+    for row in table[:ndigits]:
+        q, digit = np.divmod(q, base)
+        acc += row[digit]
+    for zero in table[ndigits:, 0].tolist():
+        acc += zero
+    return acc
+
+
 def sample_region(
     region: PlanarRegion, n_boundary: int, n_interior: int, seed: int
 ) -> RegionSamples:
     """Deterministic samples: equispaced-by-arclength boundary points on
     every boundary curve (holes included) plus quasi-random interior points.
+
+    The interior points are Owen-scrambled Halton points in bases 2 and 3,
+    seeded by ``numpy.random.default_rng(seed)`` and identical to those of
+    scipy's ``qmc.Halton(d=2, scramble=True, seed=seed)``.  They are drawn in
+    batches of max(4 * n_interior, 64) consecutive sequence points over the
+    bounding box and kept when inside the region, up to 64 batches.
     """
     if n_boundary < _MIN_PER_CURVE:
         raise DomainError(f"need at least {_MIN_PER_CURVE} boundary samples")
@@ -422,12 +473,13 @@ def sample_region(
         return RegionSamples(boundary, np.empty(0, dtype=complex))
 
     xmin, xmax, ymin, ymax = region.bounding_box()
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
+    tables = _halton_tables(seed)
+    batch = max(4 * n_interior, 64)
     accepted: list[np.ndarray] = []
     got = 0
-    for _ in range(64):
-        raw = sampler.random(max(4 * n_interior, 64))
-        pts = (xmin + raw[:, 0] * (xmax - xmin)) + 1j * (ymin + raw[:, 1] * (ymax - ymin))
+    for start in range(0, 64 * batch, batch):
+        x, y = (_scrambled_radical_inverse(table, start, batch) for table in tables)
+        pts = (xmin + x * (xmax - xmin)) + 1j * (ymin + y * (ymax - ymin))
         keep = pts[region.contains(pts)]
         accepted.append(keep)
         got += len(keep)

@@ -202,6 +202,23 @@ def test_undeclared_pole_on_boundary_named(expr):
             approximate(func, ProductCompact(UNIT_DISK, UNIT_DISK), 1e-8)
 
 
+@pytest.mark.parametrize("slot", [1, 2])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Div(Const(1), Var() - 1), "not finite"),  # undeclared pole on the boundary
+        (INV_Z, "declared pole 0j lies inside"),  # declared pole inside the region
+    ],
+    ids=["undeclared", "declared"],
+)
+def test_domain_error_names_slot(slot, bad, message):
+    exprs = [var(), var()]
+    exprs[slot - 1] = bad
+    with pytest.raises(DomainError, match=rf"^slot {slot}: .*{message}") as info:
+        approximate(FunctionSpec(*exprs), ProductCompact(UNIT_DISK, UNIT_DISK), 1e-8)
+    assert str(info.value).count(f"slot {slot}:") == 1  # prefixed once
+
+
 # -- properties ---------------------------------------------------------------------
 
 

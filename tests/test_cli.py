@@ -60,6 +60,23 @@ def test_child_imports_package_under_test(tmp_path):
     assert Path(r.stdout.strip()).resolve() == Path(bcapprox.__file__).resolve()
 
 
+def test_child_loads_no_scipy(tmp_path):
+    # `python -m bcapprox` imports the package and its CLI, nothing more
+    r = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, bcapprox, bcapprox.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+        ],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def workdir(tmp_path):
     func = FunctionSpec(var() ** 2, var() ** 3)
@@ -180,6 +197,40 @@ def test_approx_undeclared_pole_exit2(workdir):
     assert payload["error"] == "input"
     assert "not finite" in payload["detail"] and "1+0j" in payload["detail"]
     assert not (workdir / "rep.json").exists()
+
+
+def test_approx_domain_error_names_slot(workdir):
+    jsonio.dump_path(
+        FunctionSpec(var(), Div(Const(1), Var() - 1)).to_json(), workdir / "f_hidden2.json"
+    )
+    r = run_cli(
+        [
+            "approx", "--function", "f_hidden2.json", "--region", "k_bidisk.json",
+            "--eps", "1e-8", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert payload["detail"].startswith("slot 2: ") and "not finite" in payload["detail"]
+
+
+def test_approx_samples_match_api(workdir):
+    # --samples N and approximate(n_boundary=N) derive n_interior by one rule
+    r = run_cli(
+        [
+            "approx", "--function", "f_invz.json", "--region", "k_annulus.json",
+            "--eps", "1e-9", "--samples", "300", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 0, r.stderr
+    func = FunctionSpec.from_json(jsonio.load_path(workdir / "f_invz.json"))
+    compact = ProductCompact.from_json(jsonio.load_path(workdir / "k_annulus.json"))
+    _, report = bcapprox.approximate(func, compact, 1e-9, n_boundary=300)
+    assert json.loads((workdir / "rep.json").read_text())["samples"] == report.samples
+    assert report.samples["slot2"]["n_interior"] == 150
 
 
 # -- verify ---------------------------------------------------------------------

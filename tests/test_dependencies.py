@@ -1,0 +1,30 @@
+"""The runtime dependencies declared in pyproject.toml are exactly the
+third-party packages the source imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _imported_packages() -> set[str]:
+    names = set()
+    for path in (ROOT / "src" / "bcapprox").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"bcapprox"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    assert _imported_packages() == declared == {"numpy"}

@@ -104,6 +104,58 @@ def test_sampling_deterministic():
     assert not np.array_equal(a.interior, c.interior)
 
 
+def test_interior_points_pinned():
+    # the first three points of this call, as scipy's qmc.Halton(d=2,
+    # scramble=True, seed=7) produced them; no scipy needed to check
+    s = sample_region(Annulus(0, 1.0, 2.0), 32, 40, seed=7)
+    assert s.interior[:3].tolist() == [
+        complex(0.40896932061150926, -0.92787312185961324),
+        complex(1.4089693206115093, 0.84990465591816511),
+        complex(0.90896932061150926, -0.48342867741516882),
+    ]
+
+
+def _scipy_interior(region, n_interior, seed):
+    """Interior points by scipy's scrambled Halton through the same
+    rejection loop: batches of max(4 n, 64) points, at most 64 batches."""
+    qmc = pytest.importorskip("scipy.stats").qmc
+    xmin, xmax, ymin, ymax = region.bounding_box()
+    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
+    accepted = []
+    got = 0
+    for _ in range(64):
+        raw = sampler.random(max(4 * n_interior, 64))
+        pts = (xmin + raw[:, 0] * (xmax - xmin)) + 1j * (ymin + raw[:, 1] * (ymax - ymin))
+        keep = pts[region.contains(pts)]
+        accepted.append(keep)
+        got += len(keep)
+        if got >= n_interior:
+            break
+    return np.concatenate(accepted)[:n_interior]
+
+
+_ROTATED_THIN_RECT = Polygon(
+    tuple(np.exp(0.25j * np.pi) * v for v in (-1 - 0.01j, 1 - 0.01j, 1 + 0.01j, -1 + 0.01j))
+)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Disk(0.3 - 0.2j, 1.0),
+        Annulus(0.2j, 0.5, 1.0),
+        PolygonWithHoles((-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j), ((-0.3 - 0.3j, 0.3 - 0.3j, 0.3j),)),
+        _ROTATED_THIN_RECT,  # ~2 % of its bounding box: many batches
+    ],
+    ids=["disk", "annulus", "polygon-with-hole", "rotated-thin-rect"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 1729, 1729 + 1_000_003])
+@pytest.mark.parametrize("n_interior", [1, 123, 972])
+def test_interior_matches_scipy_halton(region, seed, n_interior):
+    ours = sample_region(region, 16, n_interior, seed).interior
+    assert np.array_equal(ours, _scipy_interior(region, n_interior, seed))
+
+
 def test_min_boundary_guard():
     with pytest.raises(DomainError):
         sample_region(Disk(0, 1), 4, 0, seed=0)
