@@ -196,15 +196,19 @@ def cmd_verify(cfg: JobConfig) -> int:
         bound = Hyperbolic(1.0, 1.0)
         holds = value.leq(Hyperbolic(1.0 + _BOUND_SLACK, 1.0 + _BOUND_SLACK))
         if cfg.radius is not None:
-            ns = max(cfg.samples or 4096, 4 * tail.order, 4)
+            # the contour's floor at order 0; larger orders raise it to 4 * N
+            if cfg.samples < 4:
+                raise ValueError(f"the contour needs --samples of at least 4, got {cfg.samples}")
+            ns = max(cfg.samples, 4 * tail.order)
             area = area_contour_estimate(tail, cfg.radius, ns)
             trace["contour_area"] = _hyp_json(area)
             trace["contour_radius"] = cfg.radius
+            trace["contour_nsamples"] = ns
     else:  # koebe
         if series.kind != KIND_POWER:
             raise ValueError("--koebe needs a power-F series")
         r = 0.99 if cfg.radius is None else cfg.radius
-        ns = cfg.samples or 4096
+        ns = cfg.samples
         value = koebe_covering_min(series, r, ns)
         b = r / (1 + r) ** 2
         bound = Hyperbolic(b, b)

@@ -26,7 +26,8 @@ objects are built only for the few coefficients a report quotes.  Costs
 per series of order N: parsing, evaluation and the area sum O(N); the
 square-root and inversion transforms O(N) each per coefficient (O(N^2) in
 all, one numpy call per coefficient for both slots and both transforms);
-the contour and covering probes O(N) per sample point.
+the contour and covering probes O(N + ns log ns) for ns sample points,
+through one FFT for both slots.
 """
 
 from __future__ import annotations
@@ -185,6 +186,25 @@ def _horner(c: np.ndarray, x) -> np.ndarray:
     return y.reshape(shape)
 
 
+def _on_circle(c: np.ndarray, r: float, ns: int, *, reciprocal: bool = False) -> np.ndarray:
+    """sum_m c[:, m] x^m for both slots at every x = z_k (1/z_k if
+    ``reciprocal``), z_k = r e^(2 pi i k/ns), k = 0..ns-1; shape (2, ns).
+
+    On this grid the values are one length-ns DFT of the coefficients
+    scaled by r^m (r^-m), folded mod ns since x^m repeats with period ns in
+    the angle.  The powers of z_k come from the inverse transform, those of
+    1/z_k from the forward one; neither is normalized by 1/ns.
+    """
+    n = c.shape[1]
+    m = np.arange(n)
+    folded = np.zeros((2, -(-n // ns) * ns), dtype=complex)
+    folded[:, :n] = c * (r ** -m if reciprocal else r ** m)
+    folded = folded.reshape(2, -1, ns).sum(axis=1)
+    if reciprocal:
+        return np.fft.fft(folded, axis=1)
+    return np.fft.ifft(folded, axis=1, norm="forward")
+
+
 def _eval_laurent(c: np.ndarray, z) -> np.ndarray:
     """c[:, 0]*z + c[:, 1] + sum_{n>=1} c[:, n+1] z^-n via Horner in 1/z."""
     return c[:, :1] * z + _horner(c[:, 1:], 1.0 / z)
@@ -312,9 +332,10 @@ def area_contour_estimate(g: TruncatedSeries, r: float, nsamples: int) -> Hyperb
     Integrates (1/2) Im(conj(w) dw) with the periodic trapezoid rule, which
     is exact for trigonometric polynomials once nsamples exceeds the
     bandwidth; for a truncation this matches the closed form
-    pi * (r^2 - sum n |B_n|^2 r^(-2n)) to quadrature accuracy.  The
-    derivative comes from one Horner pass in 1/z over n*B_n, so the cost
-    is O(N * nsamples) time and O(nsamples) memory.
+    pi * (r^2 - sum n |B_n|^2 r^(-2n)) to quadrature accuracy.  The tail
+    of w and of its derivative come from one FFT each over the r-scaled
+    coefficients (folded mod nsamples), so the cost is
+    O(N + nsamples log nsamples) time and O(N + nsamples) memory.
     """
     if g.kind != KIND_LAURENT:
         raise ValueError("contour area is defined for exterior series")
@@ -326,11 +347,12 @@ def area_contour_estimate(g: TruncatedSeries, r: float, nsamples: int) -> Hyperb
         )
     theta = 2 * np.pi * np.arange(nsamples) / nsamples
     z = r * np.exp(1j * theta)
-    u = 1.0 / z
     c = g.slots
-    w = _eval_laurent(c, z)
-    # dw = i z w'(z) = i (B_-1 z - sum_n n B_n u^n)
-    dw = 1j * (c[:, :1] * z - u * _horner(np.arange(1, g.order + 1) * c[:, 2:], u))
+    lead = c[:, :1] * z
+    w = lead + _on_circle(c[:, 1:], r, nsamples, reciprocal=True)
+    # dw = i z w'(z) = i (B_-1 z - sum_n n B_n z^-n)
+    tail = np.arange(g.order + 1) * c[:, 1:]
+    dw = 1j * (lead - _on_circle(tail, r, nsamples, reciprocal=True))
     a1, a2 = 0.5 * np.mean(np.imag(np.conj(w) * dw), axis=1) * 2 * np.pi
     return Hyperbolic(a1, a2)
 
@@ -382,7 +404,9 @@ def koebe_covering_min(f: TruncatedSeries, r: float, nsamples: int) -> Hyperboli
     disk, so this minimum is a lower-bound proxy for the covered disk
     radius.  Univalence is the caller's assertion and truncation error is
     the caller's risk: the probe reports whatever the truncated polynomial
-    does on the circle.
+    does on the circle.  The samples are r e^(2 pi i k/nsamples), where
+    the polynomial's values are one FFT of its r-scaled coefficients
+    (folded mod nsamples), so the cost is O(N + nsamples log nsamples).
     """
     if f.kind != KIND_POWER:
         raise ValueError("covering probe applies to normalized power series")
@@ -390,7 +414,5 @@ def koebe_covering_min(f: TruncatedSeries, r: float, nsamples: int) -> Hyperboli
         raise DomainError(f"probe radius must lie in (0, 1), got {r}")
     if nsamples < 8:
         raise DomainError("need at least 8 boundary samples")
-    theta = 2 * np.pi * np.arange(nsamples) / nsamples
-    z = r * np.exp(1j * theta)
-    m1, m2 = np.min(np.abs(_horner(f.slots, z)), axis=1)
+    m1, m2 = np.min(np.abs(_on_circle(f.slots, r, nsamples)), axis=1)
     return Hyperbolic(m1, m2)

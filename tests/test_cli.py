@@ -283,6 +283,28 @@ def test_verify_koebe_functional(workdir):
     assert abs(rep["bound"]["a1"] - 0.9 / 1.9**2) < 1e-15
 
 
+@pytest.mark.parametrize("flags", [["--koebe"], ["--area", "--radius", "1.5"]])
+def test_verify_samples_below_floor_exit2(workdir, flags):
+    # --samples 0 used to run 4096 samples without a word
+    r = run_cli(["verify", "--series", "koebe.json", *flags, "--samples", "0"], workdir)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "input"
+
+
+def test_verify_area_records_contour_samples(workdir):
+    # the contour runs at least 4 * tail_N samples, whatever --samples asks for
+    for asked, used in (("16", 4 * 125), ("4096", 4096)):
+        r = run_cli(
+            ["verify", "--series", "koebe.json", "--area", "--radius", "1.5", "--samples", asked],
+            workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        trace = json.loads(r.stdout)["trace"]
+        assert trace["tail_N"] == 125
+        assert trace["contour_nsamples"] == used
+
+
 def test_verify_malformed_series_exit2(workdir):
     r = run_cli(["verify", "--series", "broken.json", "--area"], workdir)
     assert r.returncode == 2

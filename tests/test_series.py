@@ -362,6 +362,21 @@ def test_area_contour_matches_reference():
         assert abs(mine.as_tuple()[slot - 1] - closed) < 1e-8
 
 
+def test_area_contour_closed_form_at_sample_floor():
+    # tail order 128 at the fewest samples allowed (4 * 128); at r = 1.01 the
+    # last terms still weigh r^(-256) ~ 0.08 in the closed form
+    rng = np.random.default_rng(33)
+    coeffs = [Bicomplex.from_scalar(1), Bicomplex(0.3, -0.2j)]
+    for _ in range(128):
+        a = rng.uniform(-1, 1, 4) * 0.1
+        coeffs.append(Bicomplex(complex(a[0], a[1]), complex(a[2], a[3])))
+    g = laurent_series(coeffs)
+    mine = area_contour_estimate(g, 1.01, 4 * 128)
+    for slot in (1, 2):
+        closed = ref.closed_form_area(list(g.slot(slot)), 1.01)
+        assert abs(mine.as_tuple()[slot - 1] - closed) < 1e-11 * (1 + abs(closed))
+
+
 # -- bound checks -------------------------------------------------------------------
 
 
@@ -413,6 +428,49 @@ def test_covering_min_matches_reference():
     for slot in (1, 2):
         r = ref.covering_min(list(f.slot(slot)), 0.7, 128)
         assert abs(mine.as_tuple()[slot - 1] - r) < 1e-11
+
+
+@pytest.mark.parametrize("nsamples", [4096, 512])
+def test_covering_min_koebe_closed_form_large(nsamples):
+    # F_N(z) = sum_{k<=N} k (-b)^(k-1) z^k = z (1 - (N+1) x^N + N x^(N+1)) / (1 - x)^2
+    # with x = -b z; at 512 samples the 2049 coefficients fold four times.
+    # Rounding is eps * sum_k k r^k ~ 2e-12 at r = 0.99.
+    n, r = 2048, 0.99
+    b = np.array([np.exp(0.9j), np.exp(-2.2j)])
+    m = koebe_covering_min(koebe_rotation_series(Bicomplex(*b), n), r, nsamples)
+    z = r * np.exp(2j * np.pi * np.arange(nsamples) / nsamples)
+    for slot in (1, 2):
+        x = -b[slot - 1] * z
+        want = np.min(np.abs(z * (1 - (n + 1) * x**n + n * x ** (n + 1)) / (1 - x) ** 2))
+        assert abs(m.as_tuple()[slot - 1] - want) < 1e-10
+
+
+@pytest.mark.parametrize("nsamples", [45, 201])
+def test_covering_min_matches_mpmath(nsamples):
+    # odd sample counts, one below N + 1 = 65 (folded) and one above
+    rng = np.random.default_rng(32)
+    f = rand_power_series(rng, 64)
+    m = koebe_covering_min(f, 0.7, nsamples)
+    with mpmath.workdps(50):
+        for slot in (1, 2):
+            coeffs = [mpmath.mpc(complex(a)) for a in f.slot(slot)[::-1]]
+            want = min(
+                abs(mpmath.polyval(coeffs, mpmath.mpf("0.7") * mpmath.expjpi(mpmath.mpf(2 * k) / nsamples)))
+                for k in range(nsamples)
+            )
+            assert abs(m.as_tuple()[slot - 1] - float(want)) < 1e-12
+
+
+def test_covering_study_large_order():
+    # criterion 5 probes N = 64, where the tail swamps the map; at N = 2048
+    # the same probe tracks the untruncated minima (gaps 1.2e-6 and 6e-10)
+    r = 0.99
+    m_koebe = koebe_covering_min(koebe_rotation_series(Bicomplex.from_scalar(-1), 2048), r, 4096)
+    m_half = koebe_covering_min(power_series([0] + [1] * 2048), r, 4096)
+    for got in m_koebe.as_tuple():
+        assert abs(got - r / (1 + r) ** 2) < 5e-3
+    for got in m_half.as_tuple():
+        assert abs(got - r / (1 + r)) < 5e-3
 
 
 # -- slot separation ------------------------------------------------------------------
