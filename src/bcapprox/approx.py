@@ -18,11 +18,14 @@ Every new column is orthonormalized once against all earlier ones, so the
 least-squares fit grows by one coefficient per column and is exported to
 monomial and partial-fraction form only when a step meets the target.
 
-Errors are always measured on a validation sample four times denser than
+Fit and validation samples lie on the boundary alone.  f - R is holomorphic
+on a neighbourhood of K, so by the maximum-modulus principle its sup over K
+is its sup over the boundary, and interior points could never raise the
+error.  Errors are measured on a validation sample four times denser than
 the fitting sample, as a per-slot sup norm; the pair of slot sup errors is
-the hyperbolic sup error of the bicomplex approximant.  Everything is
-deterministic given (inputs, seed): fitting a slot never looks at the
-other slot.
+the hyperbolic sup error of the bicomplex approximant.  Boundary points are
+equispaced by arclength, so a fit depends on its inputs alone, not on the
+seed, and fitting a slot never looks at the other slot.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bicomplex, Hyperbolic
+from .core import Bicomplex, Hyperbolic, _pair_to_complex
 from .errors import (
     DegreeExceededError,
     DomainError,
@@ -43,7 +46,6 @@ from .funcspec import Expr, FunctionSpec, check_poles_clear
 from .regions import PlanarRegion, ProductCompact, classify_complement, sample_region
 
 DEFAULT_SEED = 1729
-_VALIDATION_SEED_OFFSET = 1_000_003
 
 
 # -- approximant representation ----------------------------------------------
@@ -71,9 +73,9 @@ class PoleTerm:
     @staticmethod
     def from_json(obj: dict) -> PoleTerm:
         return PoleTerm(
-            complex(obj["location"][0], obj["location"][1]),
+            _pair_to_complex(obj["location"]),
             int(obj["order"]),
-            tuple(complex(c[0], c[1]) for c in obj["coeffs"]),
+            tuple(_pair_to_complex(c) for c in obj["coeffs"]),
         )
 
 
@@ -122,9 +124,9 @@ class SlotRational:
     @staticmethod
     def from_json(obj: dict) -> SlotRational:
         return SlotRational(
-            complex(obj["center"][0], obj["center"][1]),
+            _pair_to_complex(obj["center"]),
             float(obj["scale"]),
-            tuple(complex(c[0], c[1]) for c in obj["poly"]),
+            tuple(_pair_to_complex(c) for c in obj["poly"]),
             tuple(PoleTerm.from_json(b) for b in obj["poles"]),
         )
 
@@ -224,7 +226,7 @@ def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: str):
     return h + h2, nrm, v / nrm
 
 
-def _escalate(f, region, poles, eps, max_degree, n_boundary, n_interior, seed) -> SlotFit:
+def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
     """The one escalation loop behind both slot fitters (see the module
     docstring).  Each column added on the fit sample is replayed on the
     validation sample by the same recurrence, so a step costs one projection
@@ -238,11 +240,8 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, n_interior, seed) -
     ncols = max_degree + 1 + sum(caps)
     if n_boundary is None:
         n_boundary = max(240, 6 * ncols)
-    if n_interior is None:
-        n_interior = n_boundary // 2
-    fit = sample_region(region, n_boundary, n_interior, seed)
-    val = sample_region(region, 4 * n_boundary, 4 * n_interior, seed + _VALIDATION_SEED_OFFSET)
-    zf, zv = fit.all_points, val.all_points
+    zf = sample_region(region, n_boundary, 0, seed).boundary
+    zv = sample_region(region, 4 * n_boundary, 0, seed).boundary
     m = len(zf)
     if m < ncols + 1:
         raise IllConditionedError(
@@ -276,12 +275,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, n_interior, seed) -
         )
         return SlotRational(center, scale, tuple(complex(c) for c in poly), blocks)
 
-    samples = {
-        "n_boundary": len(fit.boundary),
-        "n_interior": len(fit.interior),
-        "n_validation_boundary": len(val.boundary),
-        "n_validation_interior": len(val.interior),
-    }
+    samples = {"n_boundary": m, "n_validation_boundary": len(zv)}
     trace: list[tuple[int, tuple[int, ...], float]] = []
     best = (math.inf, 0, 0, ())
     k = d = 0
@@ -338,7 +332,6 @@ def fit_polynomial_slot(
     max_degree: int,
     *,
     n_boundary: int | None = None,
-    n_interior: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> SlotFit:
     """Least-squares polynomial fit with degree escalation.
@@ -349,7 +342,7 @@ def fit_polynomial_slot(
     connected and f is holomorphic on a neighborhood; calling it on a holed
     region is allowed and simply tends to end in DegreeExceededError.
     """
-    return _escalate(f, region, [], eps, max_degree, n_boundary, n_interior, seed)
+    return _escalate(f, region, [], eps, max_degree, n_boundary, seed)
 
 
 def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
@@ -385,7 +378,6 @@ def fit_rational_slot(
     max_degree: int,
     *,
     n_boundary: int | None = None,
-    n_interior: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> SlotFit:
     """Least-squares fit in {1, w, ..., w^d} + {(z-p_j)^-m} with joint
@@ -396,7 +388,7 @@ def fit_rational_slot(
     no poles this is fit_polynomial_slot.
     """
     poles = _validate_poles(region, poles)
-    return _escalate(f, region, poles, eps, max_degree, n_boundary, n_interior, seed)
+    return _escalate(f, region, poles, eps, max_degree, n_boundary, seed)
 
 
 # -- product-level driver ------------------------------------------------------
@@ -456,7 +448,6 @@ def approximate(
     *,
     seed: int = DEFAULT_SEED,
     n_boundary: int | None = None,
-    n_interior: int | None = None,
 ) -> tuple[BicomplexRational, ApproxReport]:
     """Approximate a product-type function on a product compact.
 
@@ -483,7 +474,7 @@ def approximate(
             plist = [(a, budget.order_cap()) for a in region.hole_anchor_points()]
         else:
             plist = [(complex(p), int(cap)) for p, cap in req]
-        kwargs = dict(n_boundary=n_boundary, n_interior=n_interior, seed=seed)
+        kwargs = dict(n_boundary=n_boundary, seed=seed)
         try:
             check_poles_clear(expr, region)
             if plist:
@@ -522,14 +513,12 @@ def approximate(
             "pole_clearance": clearance,
         }
     rational = BicomplexRational(fits[0].approximant, fits[1].approximant)
-    sup = Hyperbolic(fits[0].sup_error, fits[1].sup_error)
-    achieved = sup.lt(Hyperbolic(eps, eps))
     report = ApproxReport(
         classification=cls.label,
         complement_counts=cls.counts,
-        sup_error=sup,
+        sup_error=Hyperbolic(fits[0].sup_error, fits[1].sup_error),
         target_eps=eps,
-        achieved=achieved,
+        achieved=fits[0].achieved and fits[1].achieved,
         degrees=(fits[0].degree, fits[1].degree),
         pole_orders=(fits[0].pole_orders, fits[1].pole_orders),
         pole_marker=rational.pole_marker(),
@@ -549,18 +538,13 @@ def sup_error_k(
     *,
     seed: int = DEFAULT_SEED,
 ) -> Hyperbolic:
-    """Hyperbolic sup norm of F - R over fresh validation samples.
-
-    n_validation points per slot, split 2:1 between boundary and interior;
-    slot errors never mix.
+    """Hyperbolic sup norm of F - R over max(8, n_validation) boundary points
+    per slot, equispaced by arclength.  By the maximum-modulus principle the
+    sup over the boundary is the sup over K; slot errors never mix.
     """
-    nb = max(8, (2 * n_validation) // 3)
-    ni = n_validation - nb
     errs = []
     for slot in (1, 2):
-        pts = sample_region(
-            compact.region(slot), nb, ni, seed + _VALIDATION_SEED_OFFSET
-        ).all_points
+        pts = sample_region(compact.region(slot), max(8, n_validation), 0, seed).boundary
         f = func.evaluate_slot(slot, pts)
         r = rational.evaluate_slot(slot, pts)
         errs.append(float(np.max(np.abs(f - r))))

@@ -13,11 +13,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import jsonio
 from .approx import DEFAULT_SEED, BicomplexRational, FitBudget, approximate
-from .core import Bicomplex, ExtendedBicomplex, Hyperbolic
+from .core import Bicomplex, ExtendedBicomplex, Hyperbolic, _pair_to_complex
 from .errors import IllConditionedError, NullConeError
 from .funcspec import FunctionSpec
 from .moebius import MoebiusMap, moebius_apply
@@ -35,26 +34,6 @@ from .series import (
 )
 
 _BOUND_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    function_path: str | None = None
-    region_path: str | None = None
-    series_path: str | None = None
-    moebius_path: str | None = None
-    rational_path: str | None = None
-    poles_path: str | None = None
-    functional: str | None = None
-    eps: float | None = None
-    max_degree: int = 40
-    order: int | None = None
-    radius: float | None = None
-    samples: int | None = None
-    seed: int = DEFAULT_SEED
-    at: str | None = None
-    out: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,34 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    seed = args.seed
-    env = os.environ.get("BCAPPROX_SEED")
-    if env is not None:
-        seed = int(env)
-    functional = None
-    if args.command == "verify":
-        functional = "area" if args.area else "bieberbach" if args.bieberbach else "koebe"
-    return JobConfig(
-        command=args.command,
-        function_path=getattr(args, "function", None),
-        region_path=getattr(args, "region", None),
-        series_path=getattr(args, "series", None),
-        moebius_path=getattr(args, "moebius", None),
-        rational_path=getattr(args, "rational", None),
-        poles_path=getattr(args, "poles", None),
-        functional=functional,
-        eps=getattr(args, "eps", None),
-        max_degree=getattr(args, "max_degree", 40),
-        order=getattr(args, "order", None),
-        radius=getattr(args, "radius", None),
-        samples=getattr(args, "samples", None),
-        seed=seed,
-        at=getattr(args, "at", None),
-        out=getattr(args, "out", None),
-    )
-
-
 def _emit(report: dict, out: str | None) -> None:
     if out:
         jsonio.dump_path(report, out)
@@ -145,47 +96,45 @@ def _load_poles(path: str | None):
             out.append(None)
         else:
             out.append(
-                [
-                    (complex(e["location"][0], e["location"][1]), int(e.get("max_order", 8)))
-                    for e in obj[key]
-                ]
+                [(_pair_to_complex(e["location"]), int(e.get("max_order", 8))) for e in obj[key]]
             )
     return tuple(out)
 
 
-def cmd_approx(cfg: JobConfig) -> int:
-    if cfg.eps is None or cfg.eps <= 0:
+def cmd_approx(args: argparse.Namespace) -> int:
+    if args.eps <= 0:
         raise ValueError("--eps must be positive")
-    func = FunctionSpec.from_json(jsonio.load_path(cfg.function_path))
-    compact = ProductCompact.from_json(jsonio.load_path(cfg.region_path))
-    poles = _load_poles(cfg.poles_path)
-    budget = FitBudget(max_degree=cfg.max_degree)
+    func = FunctionSpec.from_json(jsonio.load_path(args.function))
+    compact = ProductCompact.from_json(jsonio.load_path(args.region))
+    poles = _load_poles(args.poles)
+    budget = FitBudget(max_degree=args.max_degree)
     rational, report = approximate(
-        func, compact, cfg.eps, budget, poles, seed=cfg.seed, n_boundary=cfg.samples
+        func, compact, args.eps, budget, poles, seed=args.seed, n_boundary=args.samples
     )
     payload = report.to_json()
     payload["command"] = "approx"
     payload["approximant"] = rational.to_json()
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return 0 if report.achieved else 1
 
 
 # -- verify -------------------------------------------------------------------
 
 
-def cmd_verify(cfg: JobConfig) -> int:
-    series = TruncatedSeries.from_json(jsonio.load_path(cfg.series_path))
-    if cfg.order is not None:
-        series = series.truncated(cfg.order)
+def cmd_verify(args: argparse.Namespace) -> int:
+    series = TruncatedSeries.from_json(jsonio.load_path(args.series))
+    if args.order is not None:
+        series = series.truncated(args.order)
     trace: dict = {"kind": series.kind, "N": series.order}
+    functional = "area" if args.area else "bieberbach" if args.bieberbach else "koebe"
 
-    if cfg.functional == "bieberbach":
+    if functional == "bieberbach":
         if series.kind != KIND_POWER:
             raise ValueError("--bieberbach needs a power-F series")
         res = bieberbach_check(series)
         value, bound, holds = res.value, Hyperbolic(2.0, 2.0), res.holds
         trace.update(res.trace)
-    elif cfg.functional == "area":
+    elif functional == "area":
         if series.kind == KIND_POWER:
             tail = inversion_transform(sqrt_transform(series))
             trace["pipeline"] = "sqrt_transform -> inversion_transform"
@@ -195,20 +144,20 @@ def cmd_verify(cfg: JobConfig) -> int:
         value = gronwall_area_sum(tail)
         bound = Hyperbolic(1.0, 1.0)
         holds = value.leq(Hyperbolic(1.0 + _BOUND_SLACK, 1.0 + _BOUND_SLACK))
-        if cfg.radius is not None:
+        if args.radius is not None:
             # the contour's floor at order 0; larger orders raise it to 4 * N
-            if cfg.samples < 4:
-                raise ValueError(f"the contour needs --samples of at least 4, got {cfg.samples}")
-            ns = max(cfg.samples, 4 * tail.order)
-            area = area_contour_estimate(tail, cfg.radius, ns)
+            if args.samples < 4:
+                raise ValueError(f"the contour needs --samples of at least 4, got {args.samples}")
+            ns = max(args.samples, 4 * tail.order)
+            area = area_contour_estimate(tail, args.radius, ns)
             trace["contour_area"] = _hyp_json(area)
-            trace["contour_radius"] = cfg.radius
+            trace["contour_radius"] = args.radius
             trace["contour_nsamples"] = ns
     else:  # koebe
         if series.kind != KIND_POWER:
             raise ValueError("--koebe needs a power-F series")
-        r = 0.99 if cfg.radius is None else cfg.radius
-        ns = cfg.samples
+        r = 0.99 if args.radius is None else args.radius
+        ns = args.samples
         value = koebe_covering_min(series, r, ns)
         b = r / (1 + r) ** 2
         bound = Hyperbolic(b, b)
@@ -218,13 +167,13 @@ def cmd_verify(cfg: JobConfig) -> int:
 
     report = {
         "command": "verify",
-        "functional": cfg.functional,
+        "functional": functional,
         "value": _hyp_json(value),
         "bound": _hyp_json(bound),
         "holds": holds,
         "trace": trace,
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0 if holds else 1
 
 
@@ -238,8 +187,8 @@ def _parse_point(text: str):
         raise ValueError(f"cannot parse --at point: {exc}") from exc
     if isinstance(obj, (int, float)):
         return Bicomplex.from_scalar(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        return Bicomplex.from_scalar(complex(float(obj[0]), float(obj[1])))
+    if isinstance(obj, list):
+        return Bicomplex.from_scalar(_pair_to_complex(obj))
     if isinstance(obj, dict):
         if "inf" in (obj.get("b1"), obj.get("b2")):
             return ExtendedBicomplex.from_json(obj)
@@ -247,28 +196,28 @@ def _parse_point(text: str):
     raise ValueError(f"cannot interpret --at point {text!r}")
 
 
-def cmd_eval(cfg: JobConfig) -> int:
-    sources = [s for s in (cfg.series_path, cfg.moebius_path, cfg.rational_path) if s]
+def cmd_eval(args: argparse.Namespace) -> int:
+    sources = [s for s in (args.series, args.moebius, args.rational) if s]
     if len(sources) != 1:
         raise ValueError("eval needs exactly one of --series/--moebius/--rational")
-    point = _parse_point(cfg.at)
+    point = _parse_point(args.at)
 
-    if cfg.moebius_path:
-        m = MoebiusMap.from_json(jsonio.load_path(cfg.moebius_path))
+    if args.moebius:
+        m = MoebiusMap.from_json(jsonio.load_path(args.moebius))
         if isinstance(point, Bicomplex):
             point = ExtendedBicomplex.from_bicomplex(point)
         value = moebius_apply(m, point).to_json()
     else:
         if isinstance(point, ExtendedBicomplex):
             point = point.to_bicomplex()
-        if cfg.series_path:
-            s = TruncatedSeries.from_json(jsonio.load_path(cfg.series_path))
+        if args.series:
+            s = TruncatedSeries.from_json(jsonio.load_path(args.series))
             value = series_eval(s, point).to_json()
         else:
-            r = BicomplexRational.from_json(jsonio.load_path(cfg.rational_path))
+            r = BicomplexRational.from_json(jsonio.load_path(args.rational))
             value = r.evaluate(point).to_json()
 
-    _emit({"command": "eval", "value": value}, cfg.out)
+    _emit({"command": "eval", "value": value}, args.out)
     return 0
 
 
@@ -287,12 +236,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage, which matches the contract
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "approx":
-            return cmd_approx(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_eval(cfg)
+        env = os.environ.get("BCAPPROX_SEED")
+        if env is not None:
+            args.seed = int(env)
+        if args.command == "approx":
+            return cmd_approx(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        return cmd_eval(args)
     except NullConeError as exc:
         print(_error_payload("null-cone", exc), file=sys.stderr)
         return 1

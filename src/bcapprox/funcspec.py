@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _pair_to_complex
 from .errors import DomainError
 from .regions import PlanarRegion
 
@@ -71,8 +72,7 @@ class Expr:
     def from_json(obj: dict) -> Expr:
         op = obj.get("op")
         if op == "const":
-            v = obj["value"]
-            return Const(complex(float(v[0]), float(v[1])))
+            return Const(_pair_to_complex(obj["value"]))
         if op == "var":
             return Var()
         if op in ("add", "sub", "mul"):
@@ -81,7 +81,7 @@ class Expr:
             return cls(Expr.from_json(a), Expr.from_json(b))
         if op == "div":
             a, b = obj["args"]
-            poles = tuple(complex(float(p[0]), float(p[1])) for p in obj.get("poles", []))
+            poles = tuple(_pair_to_complex(p) for p in obj.get("poles", []))
             return Div(Expr.from_json(a), Expr.from_json(b), poles)
         if op == "pow":
             return Pow(Expr.from_json(obj["base"]), int(obj["exponent"]))

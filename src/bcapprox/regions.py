@@ -12,10 +12,13 @@ per slot.  Classification reads the slot complements directly, so it
 serves equally whether or not the null cone is excised from the
 complement (excision changes no slot topology).
 
-Sampling is deterministic given the seed.  Boundary points are equispaced
-by arclength on every boundary curve.  Interior points are Owen-scrambled
-Halton points in bases 2 and 3 (Owen, "A randomized Halton algorithm in R",
-arXiv:1706.02808), their digit permutations drawn from
+Boundary points are equispaced by arclength on every boundary curve and
+do not depend on the seed.  They are the only points the fitter and its
+error measurement use: by the maximum-modulus principle the sup of a
+holomorphic error over K is its sup over the boundary.  Interior points
+remain for other callers.  They are deterministic given the seed:
+Owen-scrambled Halton points in bases 2 and 3 (Owen, "A randomized Halton
+algorithm in R", arXiv:1706.02808), their digit permutations drawn from
 ``numpy.random.default_rng(seed)``, mapped to the bounding box and kept when
 inside the region; they are identical, bit for bit, to scipy's
 ``qmc.Halton(d=2, scramble=True, seed=seed)``.
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _pair_to_complex
 from .errors import DomainError, GeometryError
 
 _MIN_PER_CURVE = 8
@@ -132,21 +136,18 @@ class PlanarRegion:
     def from_json(obj: dict) -> PlanarRegion:
         shape = obj.get("shape")
         if shape == "disk":
-            return Disk(_pair(obj["center"]), float(obj["radius"]))
+            return Disk(_pair_to_complex(obj["center"]), float(obj["radius"]))
         if shape == "annulus":
-            return Annulus(_pair(obj["center"]), float(obj["r_in"]), float(obj["r_out"]))
+            c = _pair_to_complex(obj["center"])
+            return Annulus(c, float(obj["r_in"]), float(obj["r_out"]))
         if shape == "polygon":
-            return Polygon(tuple(_pair(v) for v in obj["vertices"]))
+            return Polygon(tuple(_pair_to_complex(v) for v in obj["vertices"]))
         if shape == "polygon-with-holes":
             return PolygonWithHoles(
-                tuple(_pair(v) for v in obj["outer"]),
-                tuple(tuple(_pair(v) for v in hole) for hole in obj["holes"]),
+                tuple(_pair_to_complex(v) for v in obj["outer"]),
+                tuple(tuple(_pair_to_complex(v) for v in hole) for hole in obj["holes"]),
             )
         raise GeometryError(f"unknown shape {shape!r}")
-
-
-def _pair(v) -> complex:
-    return complex(float(v[0]), float(v[1]))
 
 
 def _pair_json(c: complex) -> list[float]:
@@ -454,7 +455,8 @@ def sample_region(
     region: PlanarRegion, n_boundary: int, n_interior: int, seed: int
 ) -> RegionSamples:
     """Deterministic samples: equispaced-by-arclength boundary points on
-    every boundary curve (holes included) plus quasi-random interior points.
+    every boundary curve (holes included), which do not depend on the seed,
+    plus quasi-random interior points.
 
     The interior points are Owen-scrambled Halton points in bases 2 and 3,
     seeded by ``numpy.random.default_rng(seed)`` and identical to those of

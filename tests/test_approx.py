@@ -31,7 +31,7 @@ from bcapprox import (
     sup_error_k,
     var,
 )
-from bcapprox.approx import _VALIDATION_SEED_OFFSET, DEFAULT_SEED
+from bcapprox.approx import DEFAULT_SEED
 from bcapprox.funcspec import Const, Div, Pow, Var
 
 UNIT_DISK = Disk(0, 1.0)
@@ -73,7 +73,7 @@ def test_polynomial_budget_exhaustion_carries_best():
 
 def test_polynomial_ill_conditioned_when_undersampled():
     with pytest.raises(IllConditionedError):
-        fit_polynomial_slot(var() ** 2, UNIT_DISK, 1e-8, 20, n_boundary=8, n_interior=0)
+        fit_polynomial_slot(var() ** 2, UNIT_DISK, 1e-8, 20, n_boundary=8)
 
 
 def test_polynomial_rejects_bad_eps():
@@ -127,9 +127,9 @@ def test_pole_placement_validation():
 
 
 def test_undersampled_pole_columns_rejected_up_front():
-    # 90 fit points cannot carry 11 polynomial plus 80 pole columns
+    # 60 fit points cannot carry 11 polynomial plus 80 pole columns
     with pytest.raises(IllConditionedError, match="orthonormal basis"):
-        fit_rational_slot(INV_Z, ANNULUS, [(0j, 80)], 1e-8, 10, n_boundary=60, n_interior=30)
+        fit_rational_slot(INV_Z, ANNULUS, [(0j, 80)], 1e-8, 10, n_boundary=60)
 
 
 # -- the escalation loop against a fresh least-squares solve ----------------------
@@ -165,11 +165,8 @@ def test_trace_matches_lstsq_reference(region, poles):
     fit = fit_rational_slot(f, region, poles, 1e-12, max_degree)
     assert fit.achieved and len(fit.trace) >= 14
     n = fit.samples
-    zf = sample_region(region, n["n_boundary"], n["n_interior"], DEFAULT_SEED).all_points
-    zv = sample_region(
-        region, n["n_validation_boundary"], n["n_validation_interior"],
-        DEFAULT_SEED + _VALIDATION_SEED_OFFSET,
-    ).all_points
+    zf = sample_region(region, n["n_boundary"], 0, DEFAULT_SEED).boundary
+    zv = sample_region(region, n["n_validation_boundary"], 0, DEFAULT_SEED).boundary
     center, scale = region.center_scale()
     q, qv = _hessenberg_columns((zf - center) / scale, (zv - center) / scale, max_degree)
     ff, fv = f.evaluate(zf), f.evaluate(zv)
@@ -200,6 +197,25 @@ def test_undeclared_pole_on_boundary_named(expr):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"not finite at 1 sample point\(s\), e\.g\. 1\+0j"):
             approximate(func, ProductCompact(UNIT_DISK, UNIT_DISK), 1e-8)
+
+
+@pytest.mark.parametrize(
+    "expr, region",
+    [
+        (Div(Const(1), Var() - 0.3), UNIT_DISK),
+        (Div(Const(1), Var() - 0.75), Annulus(0, 0.5, 1.0)),
+        (exp(Div(Const(1), Var() - 0.2)), UNIT_DISK),
+    ],
+    ids=["pole-in-disk", "pole-in-annulus", "essential-in-disk"],
+)
+def test_undeclared_singularity_inside_not_achieved(expr, region):
+    # finite on the boundary, so the fit runs; f - R is not holomorphic on K,
+    # and the boundary-only fit is left with an error floor it cannot pass
+    func = FunctionSpec(expr, var())
+    _, report = approximate(func, ProductCompact(region, UNIT_DISK), 1e-8)
+    assert not report.achieved
+    assert not report.diagnostics["slot1"]["achieved"]
+    assert report.sup_error.a1 >= 0.1
 
 
 @pytest.mark.parametrize("slot", [1, 2])
@@ -342,16 +358,22 @@ def test_report_samples_are_the_counts_each_slot_used():
     func = FunctionSpec(var(), exp(var()))
     _, report = approximate(func, ProductCompact(UNIT_DISK, ANNULUS), 1e-8)
     assert report.samples == {
-        "slot1": {
-            "n_boundary": 246, "n_interior": 123,
-            "n_validation_boundary": 984, "n_validation_interior": 492,
-        },
-        "slot2": {
-            "n_boundary": 486, "n_interior": 243,
-            "n_validation_boundary": 1944, "n_validation_interior": 972,
-        },
+        "slot1": {"n_boundary": 246, "n_validation_boundary": 984},
+        "slot2": {"n_boundary": 486, "n_validation_boundary": 1944},
     }
     assert report.samples["slot1"] == fit_polynomial_slot(var(), UNIT_DISK, 1e-8, 40).samples
+
+
+def test_report_achieved_follows_the_slot_fits():
+    # a slot fit accepts an error equal to eps, and the report agrees with it
+    func = FunctionSpec(exp(var()), exp(var()))
+    compact = ProductCompact(UNIT_DISK, UNIT_DISK)
+    _, first = approximate(func, compact, 1e-10)
+    eps = max(first.sup_error.a1, first.sup_error.a2)
+    _, again = approximate(func, compact, eps)
+    assert max(again.sup_error.a1, again.sup_error.a2) == eps
+    assert again.diagnostics["slot1"]["achieved"] and again.diagnostics["slot2"]["achieved"]
+    assert again.achieved
 
 
 def test_declared_pole_inside_region_rejected():

@@ -77,6 +77,24 @@ def test_child_loads_no_scipy(tmp_path):
     assert r.stdout.strip() == "[]"
 
 
+def test_child_approx_loads_no_numpy_random(workdir):
+    # the fit samples only the boundary, so no Halton draw pulls in numpy.random
+    r = subprocess.run(
+        [
+            sys.executable, "-X", "importtime", "-m", "bcapprox", "approx",
+            "--function", "f_invz.json", "--region", "k_annulus.json",
+            "--eps", "1e-9", "--out", "rep.json",
+        ],
+        cwd=workdir,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert "bcapprox.cli" in r.stderr  # the import log is there to read
+    assert "numpy.random" not in r.stderr
+
+
 @pytest.fixture
 def workdir(tmp_path):
     func = FunctionSpec(var() ** 2, var() ** 3)
@@ -217,7 +235,7 @@ def test_approx_domain_error_names_slot(workdir):
 
 
 def test_approx_samples_match_api(workdir):
-    # --samples N and approximate(n_boundary=N) derive n_interior by one rule
+    # --samples N and approximate(n_boundary=N) fit on N boundary points
     r = run_cli(
         [
             "approx", "--function", "f_invz.json", "--region", "k_annulus.json",
@@ -230,7 +248,43 @@ def test_approx_samples_match_api(workdir):
     compact = ProductCompact.from_json(jsonio.load_path(workdir / "k_annulus.json"))
     _, report = bcapprox.approximate(func, compact, 1e-9, n_boundary=300)
     assert json.loads((workdir / "rep.json").read_text())["samples"] == report.samples
-    assert report.samples["slot2"]["n_interior"] == 150
+    assert report.samples["slot2"] == {"n_boundary": 300, "n_validation_boundary": 1200}
+
+
+@pytest.mark.parametrize("pair", [[0.5], [0.5, 0.0, 1.0]], ids=["one", "three"])
+@pytest.mark.parametrize("kind", ["region", "function", "poles", "rational"])
+def test_malformed_pair_exit2(workdir, kind, pair):
+    # every [re, im] pair in an input file is decoded by one rule
+    files = {
+        "region": {
+            "k1": {"shape": "disk", "center": pair, "radius": 1.0},
+            "k2": {"shape": "disk", "center": [0, 0], "radius": 1.0},
+        },
+        "function": {"f1": {"op": "const", "value": pair}, "f2": {"op": "var"}},
+        "poles": {"k1": [{"location": pair, "max_order": 4}], "k2": None},
+        "rational": {
+            "r1": {"center": pair, "scale": 1.0, "poly": [[1, 0]], "poles": []},
+            "r2": {"center": [0, 0], "scale": 1.0, "poly": [[1, 0]], "poles": []},
+        },
+    }
+    jsonio.dump_path(files[kind], workdir / "bad.json")
+    approx = ["approx", "--eps", "1e-8", "--out", "rep.json"]
+    argv = {
+        "region": [*approx, "--function", "f_poly.json", "--region", "bad.json"],
+        "function": [*approx, "--function", "bad.json", "--region", "k_bidisk.json"],
+        "poles": [
+            *approx, "--function", "f_invz.json", "--region", "k_annulus.json",
+            "--poles", "bad.json",
+        ],
+        "rational": ["eval", "--rational", "bad.json", "--at", "0.5"],
+    }[kind]
+    r = run_cli(argv, workdir)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert "expected [re, im]" in payload["detail"]
+    assert not (workdir / "rep.json").exists()
 
 
 # -- verify ---------------------------------------------------------------------
