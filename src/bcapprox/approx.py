@@ -13,10 +13,16 @@ case with no poles.  Step t adds the degree-t polynomial, built by the
 Vandermonde-with-Arnoldi device (each new power orthogonalized against the
 previous polynomials on the sample set, which keeps the basis well
 conditioned far beyond where raw monomials give up), then order t+1 of each
-prescribed pole (z - p)^-m, one pole per bounded complement component.
-Every new column is orthonormalized once against all earlier ones, so the
+prescribed pole (z - p)^-m, one pole per bounded complement component; the
+raw pole column of order t+1 is that of order t times 1/(z - p).  Every new
+column is orthonormalized once against all earlier ones, so the
 least-squares fit grows by one coefficient per column and is exported to
 monomial and partial-fraction form only when a step meets the target.
+
+The work buffers are sized by the budget but store one basis column per
+row.  Each column is then one contiguous row, and memory pages are touched
+only for the rows written, so a fit pays for the columns it adds, not for
+the budget it was given.
 
 Fit and validation samples lie on the boundary alone.  f - R is holomorphic
 on a neighbourhood of K, so by the maximum-modulus principle its sup over K
@@ -43,7 +49,13 @@ from .errors import (
     PolePlacementError,
 )
 from .funcspec import Expr, FunctionSpec, check_poles_clear
-from .regions import PlanarRegion, ProductCompact, classify_complement, sample_region
+from .regions import (
+    PlanarRegion,
+    ProductCompact,
+    _allocate_boundary,
+    classify_complement,
+    sample_region,
+)
 
 DEFAULT_SEED = 1729
 
@@ -210,20 +222,29 @@ def _fvals(f, pts: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: str):
-    """Two-pass classical Gram-Schmidt of v against the orthonormal columns
-    of basis: returns the projection coefficients h, the remaining norm and
-    the new unit column, so that v = basis @ h + norm * column."""
+    """Two-pass classical Gram-Schmidt of v against the orthonormal rows of
+    basis: returns the projection coefficients h, the remaining norm and the
+    new unit row, so that v = h @ basis + norm * row.  The vector is
+    conjugated, not the basis, so no copy of the basis is made."""
     ref = np.linalg.norm(v)
-    h = (v.conj() @ basis).conj()
-    v = v - basis @ h
-    h2 = (v.conj() @ basis).conj()
-    v = v - basis @ h2
+    h = (basis @ v.conj()).conj()
+    v = v - h @ basis
+    h2 = (basis @ v.conj()).conj()
+    v = v - h2 @ basis
     nrm = np.linalg.norm(v)
     if nrm <= 1e-14 * max(ref, 1e-300):
         raise IllConditionedError(
             f"orthogonalization collapsed at {what}; the sample set cannot resolve it"
         )
     return h + h2, nrm, v / nrm
+
+
+def _check_budget(eps: float, max_degree: int) -> None:
+    """The one rule for a fit's target and degree budget."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"error target eps must be a positive finite number, got {eps!r}")
+    if max_degree < 0:
+        raise DomainError(f"degree budget max_degree must be >= 0, got {max_degree}")
 
 
 def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
@@ -234,36 +255,52 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
     reaches eps is exported and accepted when the exported approximant meets
     eps on the validation sample too.
     """
-    if eps <= 0:
-        raise DomainError("error target must be positive")
+    _check_budget(eps, max_degree)
     caps = [cap for _, cap in poles]
     ncols = max_degree + 1 + sum(caps)
     if n_boundary is None:
         n_boundary = max(240, 6 * ncols)
-    zf = sample_region(region, n_boundary, 0, seed).boundary
-    zv = sample_region(region, 4 * n_boundary, 0, seed).boundary
-    m = len(zf)
+    lengths = [c.length for c in region.boundary_curves()]
+    m = sum(_allocate_boundary(lengths, n_boundary))
+    mv = sum(_allocate_boundary(lengths, 4 * n_boundary))
     if m < ncols + 1:
         raise IllConditionedError(
             f"{m} samples cannot support an orthonormal basis of degree {max_degree} "
             f"with pole orders {tuple(caps)}"
         )
+    # One basis column per row: np.empty reserves the whole budget, but a
+    # row's pages are touched only when its column is written, so a fit that
+    # stops early pays for the columns it added.  The buffers are allocated
+    # before any sample is drawn, so a budget too large for memory fails
+    # here without touching any.
+    try:
+        # Arnoldi polynomials on both samples and their ascending monomial
+        # coefficients in w (column d holds p_d, an upper triangular matrix)
+        p_fit = np.empty((max_degree + 1, m), dtype=complex)
+        p_val = np.empty((max_degree + 1, mv), dtype=complex)
+        mono = np.zeros((max_degree + 1, max_degree + 1), dtype=complex)
+        # least-squares basis: the columns in the order added, orthonormalized;
+        # row k = (added column k - r[:k, k] @ q[:k]) / r[k, k]
+        q_fit = np.empty((ncols, m), dtype=complex)
+        q_val = np.empty((ncols, mv), dtype=complex)
+        r = np.zeros((ncols, ncols), dtype=complex)
+    except MemoryError as exc:
+        raise DomainError(
+            f"degree budget max_degree={max_degree} with pole orders {tuple(caps)} needs "
+            f"{ncols} basis columns on {m} + {mv} samples; its work buffers cannot be allocated"
+        ) from exc
+    coef = np.empty(ncols, dtype=complex)
+    owner = np.empty(ncols, dtype=int)  # -1 for a polynomial column, else the pole
+
+    zf = sample_region(region, n_boundary, 0, seed).boundary
+    zv = sample_region(region, 4 * n_boundary, 0, seed).boundary
     f_fit, f_val = _fvals(f, zf), _fvals(f, zv)
     center, scale = region.center_scale()
     w, wv = (zf - center) / scale, (zv - center) / scale
-
-    # Arnoldi polynomials on both samples and their ascending monomial
-    # coefficients in w (column d holds p_d, an upper triangular matrix)
-    p_fit = np.empty((m, max_degree + 1), dtype=complex)
-    p_val = np.empty((len(zv), max_degree + 1), dtype=complex)
-    mono = np.zeros((max_degree + 1, max_degree + 1), dtype=complex)
-    # least-squares basis: the columns in the order added, orthonormalized;
-    # column k = (added column k - q[:, :k] @ r[:k, k]) / r[k, k]
-    q_fit = np.empty((m, ncols), dtype=complex)
-    q_val = np.empty((len(zv), ncols), dtype=complex)
-    r = np.zeros((ncols, ncols), dtype=complex)
-    coef = np.empty(ncols, dtype=complex)
-    owner = np.empty(ncols, dtype=int)  # -1 for a polynomial column, else the pole
+    # 1/(z - p) per pole on both samples, and the latest raw pole column:
+    # order t + 1 is order t times u, one multiply per sample point
+    u = [(1.0 / (zf - p), 1.0 / (zv - p)) for p, _ in poles]
+    raw = [(np.ones(m, dtype=complex), np.ones(mv, dtype=complex)) for _ in poles]
     resid = f_val.copy()
 
     def export(k, d, orders) -> SlotRational:
@@ -275,7 +312,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
         )
         return SlotRational(center, scale, tuple(complex(c) for c in poly), blocks)
 
-    samples = {"n_boundary": m, "n_validation_boundary": len(zv)}
+    samples = {"n_boundary": m, "n_validation_boundary": mv}
     trace: list[tuple[int, tuple[int, ...], float]] = []
     best = (math.inf, 0, 0, ())
     k = d = 0
@@ -283,27 +320,26 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
         new = []
         if t <= max_degree:
             if t == 0:
-                p_fit[:, 0] = p_val[:, 0] = mono[0, 0] = 1.0 / math.sqrt(m)
+                p_fit[0] = p_val[0] = mono[0, 0] = 1.0 / math.sqrt(m)
             else:
-                h, nrm, p_fit[:, t] = _orthonormalize(
-                    p_fit[:, :t], w * p_fit[:, t - 1], f"degree {t}"
-                )
-                p_val[:, t] = (wv * p_val[:, t - 1] - p_val[:, :t] @ h) / nrm
+                h, nrm, p_fit[t] = _orthonormalize(p_fit[:t], w * p_fit[t - 1], f"degree {t}")
+                p_val[t] = (wv * p_val[t - 1] - h @ p_val[:t]) / nrm
                 mono[1 : t + 1, t] = mono[:t, t - 1]
                 mono[: t + 1, t] = (mono[: t + 1, t] - mono[: t + 1, :t] @ h) / nrm
-            new.append((p_fit[:, t], p_val[:, t], -1, f"degree {t}"))
+            new.append((p_fit[t], p_val[t], -1, f"degree {t}"))
             d = t
-        new += [
-            ((zf - p) ** -(t + 1), (zv - p) ** -(t + 1), j, f"pole order {t + 1} at {p}")
-            for j, (p, cap) in enumerate(poles)
-            if t < cap
-        ]
+        for j, (p, cap) in enumerate(poles):
+            if t < cap:
+                (uf, uv), (rf, rv) = u[j], raw[j]
+                rf *= uf
+                rv *= uv
+                new.append((rf, rv, j, f"pole order {t + 1} at {p}"))
         for a_fit, a_val, who, what in new:
-            h, nrm, q_fit[:, k] = _orthonormalize(q_fit[:, :k], a_fit, what)
-            q_val[:, k] = (a_val - q_val[:, :k] @ h) / nrm
+            h, nrm, q_fit[k] = _orthonormalize(q_fit[:k], a_fit, what)
+            q_val[k] = (a_val - h @ q_val[:k]) / nrm
             r[:k, k], r[k, k], owner[k] = h, nrm, who
-            coef[k] = np.vdot(q_fit[:, k], f_fit)
-            resid -= coef[k] * q_val[:, k]
+            coef[k] = np.vdot(q_fit[k], f_fit)
+            resid -= coef[k] * q_val[k]
             k += 1
         orders = tuple(min(t + 1, cap) for cap in caps)
         err = float(np.max(np.abs(resid)))
@@ -460,8 +496,7 @@ def approximate(
     A slot that exhausts its budget is reported honestly: the best
     approximant is returned with achieved=False and a diagnostic message.
     """
-    if eps <= 0:
-        raise DomainError("error target must be positive")
+    _check_budget(eps, budget.max_degree)
     cls = classify_complement(compact)
     requested = (None, None) if poles is None else poles
     fits: list[SlotFit] = []

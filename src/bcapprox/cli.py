@@ -34,6 +34,7 @@ from .series import (
 )
 
 _BOUND_SLACK = 1e-12
+_SAMPLES = 4096
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--koebe", action="store_true", help="covering minimum at --radius")
     pv.add_argument("--order", type=int, help="re-truncate the series to this order first")
     pv.add_argument("--radius", type=float, help="sampling radius (koebe: in (0,1); area trace: > 1)")
-    pv.add_argument("--samples", type=int, default=4096)
+    pv.add_argument(
+        "--samples", type=int, help=f"probe samples (koebe, area with --radius; default {_SAMPLES})"
+    )
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--out", help="report JSON path (default: stdout)")
 
@@ -102,8 +105,6 @@ def _load_poles(path: str | None):
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    if args.eps <= 0:
-        raise ValueError("--eps must be positive")
     func = FunctionSpec.from_json(jsonio.load_path(args.function))
     compact = ProductCompact.from_json(jsonio.load_path(args.region))
     poles = _load_poles(args.poles)
@@ -122,11 +123,22 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    functional = "area" if args.area else "bieberbach" if args.bieberbach else "koebe"
+    # a flag the functional would ignore is an input error, not a silent no-op
+    if args.bieberbach:
+        ignored, where = ("radius", "samples"), "--bieberbach"
+    elif args.area and args.radius is None:
+        ignored, where = ("samples",), "--area without --radius"
+    else:
+        ignored, where = (), ""
+    for flag in ignored:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} has no effect on {where}")
+    samples = _SAMPLES if args.samples is None else args.samples
     series = TruncatedSeries.from_json(jsonio.load_path(args.series))
     if args.order is not None:
         series = series.truncated(args.order)
     trace: dict = {"kind": series.kind, "N": series.order}
-    functional = "area" if args.area else "bieberbach" if args.bieberbach else "koebe"
 
     if functional == "bieberbach":
         if series.kind != KIND_POWER:
@@ -146,9 +158,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         holds = value.leq(Hyperbolic(1.0 + _BOUND_SLACK, 1.0 + _BOUND_SLACK))
         if args.radius is not None:
             # the contour's floor at order 0; larger orders raise it to 4 * N
-            if args.samples < 4:
-                raise ValueError(f"the contour needs --samples of at least 4, got {args.samples}")
-            ns = max(args.samples, 4 * tail.order)
+            if samples < 4:
+                raise ValueError(f"the contour needs --samples of at least 4, got {samples}")
+            ns = max(samples, 4 * tail.order)
             area = area_contour_estimate(tail, args.radius, ns)
             trace["contour_area"] = _hyp_json(area)
             trace["contour_radius"] = args.radius
@@ -157,13 +169,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if series.kind != KIND_POWER:
             raise ValueError("--koebe needs a power-F series")
         r = 0.99 if args.radius is None else args.radius
-        ns = args.samples
-        value = koebe_covering_min(series, r, ns)
+        value = koebe_covering_min(series, r, samples)
         b = r / (1 + r) ** 2
         bound = Hyperbolic(b, b)
         holds = value.geq(Hyperbolic(b - _BOUND_SLACK, b - _BOUND_SLACK))
         trace["radius"] = r
-        trace["nsamples"] = ns
+        trace["nsamples"] = samples
 
     report = {
         "command": "verify",

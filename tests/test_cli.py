@@ -168,14 +168,60 @@ def test_approx_malformed_region_exit2(workdir):
 
 
 def test_approx_bad_eps_exit2(workdir):
+    # nan and inf used to run the whole budget and fail in the report writer
+    for eps in ("-1", "nan", "inf"):
+        r = run_cli(
+            [
+                "approx", "--function", "f_poly.json", "--region", "k_bidisk.json",
+                "--eps", eps, "--out", "rep.json",
+            ],
+            workdir,
+        )
+        assert r.returncode == 2, eps
+        detail = json.loads(r.stderr)["detail"]
+        assert "error target eps must be a positive finite number" in detail
+        assert not (workdir / "rep.json").exists()
+
+
+@pytest.mark.parametrize(
+    "region, fn",
+    [("k_bidisk.json", "f_poly.json"), ("k_annulus.json", "f_invz.json")],
+    ids=["bidisk", "annulus"],
+)
+def test_approx_negative_max_degree_exit2(workdir, region, fn):
+    # on a bidisk this wrote a degree-0 report for an empty fit; on an
+    # annulus it blamed the pole order cap
     r = run_cli(
         [
-            "approx", "--function", "f_poly.json", "--region", "k_bidisk.json",
-            "--eps", "-1", "--out", "rep.json",
+            "approx", "--function", fn, "--region", region,
+            "--eps", "1e-8", "--max-degree", "-1", "--out", "rep.json",
         ],
         workdir,
     )
     assert r.returncode == 2
+    payload = json.loads(r.stderr)
+    assert payload == {"error": "input", "detail": "degree budget max_degree must be >= 0, got -1"}
+    assert not (workdir / "rep.json").exists()
+
+
+def test_approx_unallocatable_budget_exit2(workdir):
+    # the work buffers are allocated before any sample is drawn, so this
+    # fails at once without touching memory; it used to die in a numpy
+    # allocation traceback
+    r = run_cli(
+        [
+            "approx", "--function", "f_poly.json", "--region", "k_bidisk.json",
+            "--eps", "1e-8", "--max-degree", "100000", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert "max_degree=100000" in payload["detail"]
+    assert "cannot be allocated" in payload["detail"]
+    assert not (workdir / "rep.json").exists()
 
 
 def test_approx_undersampled_basis_exit2(workdir):
@@ -344,6 +390,23 @@ def test_verify_samples_below_floor_exit2(workdir, flags):
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--bieberbach", "--radius", "7"], "--radius has no effect on --bieberbach"),
+        (["--bieberbach", "--samples", "0"], "--samples has no effect on --bieberbach"),
+        (["--area", "--samples", "0"], "--samples has no effect on --area without --radius"),
+    ],
+    ids=["bieberbach-radius", "bieberbach-samples", "area-samples"],
+)
+def test_verify_flag_without_effect_exit2(workdir, flags, named):
+    # each of these exited 0 as if the flag had been honoured
+    r = run_cli(["verify", "--series", "koebe.json", *flags], workdir)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr) == {"error": "input", "detail": named}
 
 
 def test_verify_area_records_contour_samples(workdir):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import complex_ref as ref
 from bcapprox import (
@@ -235,3 +237,52 @@ def test_json_roundtrip():
     m = rand_valid_map(rng)
     again = MoebiusMap.from_json(m.to_json())
     assert again.a == m.a and again.b == m.b and again.c == m.c and again.d == m.d
+
+
+# -- properties against the slot maps ---------------------------------------------
+
+# entries of modulus <= 4 and |det| >= 1/2 per slot keep every slot map well
+# conditioned on the drawn points, so both sides agree to a fixed tolerance
+entry = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+slot_matrix = st.tuples(entry, entry, entry, entry).filter(
+    lambda m: abs(m[0] * m[3] - m[1] * m[2]) >= 0.5
+)
+
+
+@st.composite
+def conditioned_maps(draw) -> MoebiusMap:
+    s1, s2 = draw(slot_matrix), draw(slot_matrix)
+    return moebius_new(*(Bicomplex(x, y) for x, y in zip(s1, s2)))
+
+
+def slot_map(m: MoebiusMap, slot: int):
+    """The scalar map of one idempotent slot, by the reference formula."""
+    return lambda w: ref.moebius_eval(*m.slot_coeffs(slot), w)
+
+
+def clear_of_pole(m: MoebiusMap, slot: int, w: complex) -> bool:
+    _, _, c, d = m.slot_coeffs(slot)
+    return abs(c * w + d) >= 0.25
+
+
+@given(m=conditioned_maps(), n=conditioned_maps(), w1=entry, w2=entry)
+def test_compose_is_slotwise_composition(m, n, w1, w2):
+    # m(n(z)) slot by slot: the composed coefficients act as the matrix product
+    for slot, w in ((1, w1), (2, w2)):
+        assume(clear_of_pole(n, slot, w) and clear_of_pole(m, slot, slot_map(n, slot)(w)))
+    got = moebius_apply(moebius_compose(m, n), Bicomplex(w1, w2))
+    assert got.is_finite()
+    for slot, w, value in ((1, w1, got.c1), (2, w2, got.c2)):
+        want = slot_map(m, slot)(slot_map(n, slot)(w))
+        assert abs(value - want) <= 1e-10 * (1 + abs(want))
+
+
+@given(m=conditioned_maps(), w1=entry, w2=entry)
+def test_inverse_undoes_each_slot_map(m, w1, w2):
+    for slot, w in ((1, w1), (2, w2)):
+        assume(clear_of_pole(m, slot, w))
+    image = Bicomplex(slot_map(m, 1)(w1), slot_map(m, 2)(w2))
+    back = moebius_apply(moebius_inverse(m), image)
+    assert back.is_finite()
+    assert abs(back.c1 - w1) <= 1e-10 * (1 + abs(w1))
+    assert abs(back.c2 - w2) <= 1e-10 * (1 + abs(w2))
