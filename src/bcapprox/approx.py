@@ -27,9 +27,10 @@ the budget it was given.
 Fit and validation samples lie on the boundary alone.  f - R is holomorphic
 on a neighbourhood of K, so by the maximum-modulus principle its sup over K
 is its sup over the boundary, and interior points could never raise the
-error.  Errors are measured on a validation sample four times denser than
-the fitting sample, as a per-slot sup norm; the pair of slot sup errors is
-the hyperbolic sup error of the bicomplex approximant.  Boundary points are
+error.  The loop gates on the fit sample; an exported step is accepted only
+if it meets eps on a validation sample four times denser, and that per-slot
+sup norm is the reported error; the pair of slot sup errors is the
+hyperbolic sup error of the bicomplex approximant.  Boundary points are
 equispaced by arclength, so a fit depends on its inputs alone, not on the
 seed, and fitting a slot never looks at the other slot.
 """
@@ -249,11 +250,12 @@ def _check_budget(eps: float, max_degree: int) -> None:
 
 def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
     """The one escalation loop behind both slot fitters (see the module
-    docstring).  Each column added on the fit sample is replayed on the
-    validation sample by the same recurrence, so a step costs one projection
-    coefficient and one residual update per column.  A step whose residual
-    reaches eps is exported and accepted when the exported approximant meets
-    eps on the validation sample too.
+    docstring).  It works on the fit sample alone: each added column costs
+    one projection coefficient and one update of the residual f - Q @ coef,
+    whose sup is the step's trace error.  A step whose residual reaches eps
+    is exported and accepted when the export meets eps on the validation
+    sample, the error it reports; an exhausted budget exports the step with
+    the lowest residual.
     """
     _check_budget(eps, max_degree)
     caps = [cap for _, cap in poles]
@@ -274,20 +276,18 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
     # before any sample is drawn, so a budget too large for memory fails
     # here without touching any.
     try:
-        # Arnoldi polynomials on both samples and their ascending monomial
-        # coefficients in w (column d holds p_d, an upper triangular matrix)
+        # Arnoldi polynomials and their ascending monomial coefficients in w
+        # (column d holds p_d, an upper triangular matrix)
         p_fit = np.empty((max_degree + 1, m), dtype=complex)
-        p_val = np.empty((max_degree + 1, mv), dtype=complex)
         mono = np.zeros((max_degree + 1, max_degree + 1), dtype=complex)
         # least-squares basis: the columns in the order added, orthonormalized;
         # row k = (added column k - r[:k, k] @ q[:k]) / r[k, k]
         q_fit = np.empty((ncols, m), dtype=complex)
-        q_val = np.empty((ncols, mv), dtype=complex)
         r = np.zeros((ncols, ncols), dtype=complex)
     except MemoryError as exc:
         raise DomainError(
             f"degree budget max_degree={max_degree} with pole orders {tuple(caps)} needs "
-            f"{ncols} basis columns on {m} + {mv} samples; its work buffers cannot be allocated"
+            f"{ncols} basis columns on {m} samples; its work buffers cannot be allocated"
         ) from exc
     coef = np.empty(ncols, dtype=complex)
     owner = np.empty(ncols, dtype=int)  # -1 for a polynomial column, else the pole
@@ -296,21 +296,22 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
     zv = sample_region(region, 4 * n_boundary, 0, seed).boundary
     f_fit, f_val = _fvals(f, zf), _fvals(f, zv)
     center, scale = region.center_scale()
-    w, wv = (zf - center) / scale, (zv - center) / scale
-    # 1/(z - p) per pole on both samples, and the latest raw pole column:
-    # order t + 1 is order t times u, one multiply per sample point
-    u = [(1.0 / (zf - p), 1.0 / (zv - p)) for p, _ in poles]
-    raw = [(np.ones(m, dtype=complex), np.ones(mv, dtype=complex)) for _ in poles]
-    resid = f_val.copy()
+    w = (zf - center) / scale
+    # 1/(z - p) per pole, and the latest raw pole column: order t + 1 is
+    # order t times u, one multiply per sample point
+    u = [1.0 / (zf - p) for p, _ in poles]
+    raw = [np.ones(m, dtype=complex) for _ in poles]
+    resid = f_fit.copy()
 
-    def export(k, d, orders) -> SlotRational:
+    def export(k, d, orders) -> tuple[SlotRational, float]:
         a = np.linalg.solve(r[:k, :k], coef[:k])
         poly = mono[: d + 1, : d + 1] @ a[owner[:k] == -1]
         blocks = tuple(
             PoleTerm(p, o, tuple(complex(c) for c in a[owner[:k] == j]))
             for j, ((p, _), o) in enumerate(zip(poles, orders))
         )
-        return SlotRational(center, scale, tuple(complex(c) for c in poly), blocks)
+        sr = SlotRational(center, scale, tuple(complex(c) for c in poly), blocks)
+        return sr, float(np.max(np.abs(f_val - sr(zv))))
 
     samples = {"n_boundary": m, "n_validation_boundary": mv}
     trace: list[tuple[int, tuple[int, ...], float]] = []
@@ -320,26 +321,22 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
         new = []
         if t <= max_degree:
             if t == 0:
-                p_fit[0] = p_val[0] = mono[0, 0] = 1.0 / math.sqrt(m)
+                p_fit[0] = mono[0, 0] = 1.0 / math.sqrt(m)
             else:
                 h, nrm, p_fit[t] = _orthonormalize(p_fit[:t], w * p_fit[t - 1], f"degree {t}")
-                p_val[t] = (wv * p_val[t - 1] - h @ p_val[:t]) / nrm
                 mono[1 : t + 1, t] = mono[:t, t - 1]
                 mono[: t + 1, t] = (mono[: t + 1, t] - mono[: t + 1, :t] @ h) / nrm
-            new.append((p_fit[t], p_val[t], -1, f"degree {t}"))
+            new.append((p_fit[t], -1, f"degree {t}"))
             d = t
         for j, (p, cap) in enumerate(poles):
             if t < cap:
-                (uf, uv), (rf, rv) = u[j], raw[j]
-                rf *= uf
-                rv *= uv
-                new.append((rf, rv, j, f"pole order {t + 1} at {p}"))
-        for a_fit, a_val, who, what in new:
-            h, nrm, q_fit[k] = _orthonormalize(q_fit[:k], a_fit, what)
-            q_val[k] = (a_val - h @ q_val[:k]) / nrm
-            r[:k, k], r[k, k], owner[k] = h, nrm, who
+                raw[j] *= u[j]
+                new.append((raw[j], j, f"pole order {t + 1} at {p}"))
+        for col, who, what in new:
+            r[:k, k], r[k, k], q_fit[k] = _orthonormalize(q_fit[:k], col, what)
+            owner[k] = who
             coef[k] = np.vdot(q_fit[k], f_fit)
-            resid -= coef[k] * q_val[k]
+            resid -= coef[k] * q_fit[k]
             k += 1
         orders = tuple(min(t + 1, cap) for cap in caps)
         err = float(np.max(np.abs(resid)))
@@ -347,13 +344,11 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
         if err < best[0]:
             best = (err, k, d, orders)
         if err <= eps:
-            sr = export(k, d, orders)
-            true_err = float(np.max(np.abs(f_val - sr(zv))))
+            sr, true_err = export(k, d, orders)
             if true_err <= eps:
                 return SlotFit(sr, true_err, d, orders, True, tuple(trace), samples)
     _, k, d, orders = best
-    sr = export(k, d, orders)
-    err = float(np.max(np.abs(f_val - sr(zv))))
+    sr, err = export(k, d, orders)
     raise DegreeExceededError(
         f"degree/order budget exhausted; best sup error {err:.3e} > {eps:.3e}",
         SlotFit(sr, err, d, orders, False, tuple(trace), samples),
@@ -372,11 +367,12 @@ def fit_polynomial_slot(
 ) -> SlotFit:
     """Least-squares polynomial fit with degree escalation.
 
-    Escalates until the sup error on the validation sample drops to eps;
-    raises DegreeExceededError (carrying the best fit) when the budget runs
-    out.  Convergence is guaranteed only when the region's complement is
-    connected and f is holomorphic on a neighborhood; calling it on a holed
-    region is allowed and simply tends to end in DegreeExceededError.
+    Escalates until a step meets eps on the fit sample and its export meets
+    eps on the validation sample; raises DegreeExceededError (carrying the
+    lowest-residual step) when the budget runs out.  Convergence is
+    guaranteed only when the region's complement is connected and f is
+    holomorphic on a neighborhood; calling it on a holed region is allowed
+    and simply tends to end in DegreeExceededError.
     """
     return _escalate(f, region, [], eps, max_degree, n_boundary, seed)
 
@@ -432,13 +428,13 @@ def fit_rational_slot(
 
 @dataclass(frozen=True)
 class FitBudget:
-    """Escalation limits; pole order cap defaults to the degree cap."""
+    """Escalation limits; pole order cap defaults to max(1, degree cap)."""
 
     max_degree: int = 40
     max_pole_order: int | None = None
 
     def order_cap(self) -> int:
-        return self.max_degree if self.max_pole_order is None else self.max_pole_order
+        return max(1, self.max_degree) if self.max_pole_order is None else self.max_pole_order
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import jsonio
 from .approx import DEFAULT_SEED, BicomplexRational, FitBudget, approximate
 from .core import Bicomplex, ExtendedBicomplex, Hyperbolic, _pair_to_complex
-from .errors import IllConditionedError, NullConeError
+from .errors import DomainError, IllConditionedError, NullConeError
 from .funcspec import FunctionSpec
 from .moebius import MoebiusMap, moebius_apply
 from .regions import ProductCompact
@@ -192,8 +195,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_point(text: str):
+    def finite(num: str) -> float:
+        x = float(num)
+        if not math.isfinite(x):
+            raise ValueError(f"--at point {text!r} has a non-finite coordinate {num}")
+        return x
+
+    # NaN, Infinity and numbers beyond the float range all pass through finite
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=finite, parse_int=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot parse --at point: {exc}") from exc
     if isinstance(obj, (int, float)):
@@ -223,10 +233,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             point = point.to_bicomplex()
         if args.series:
             s = TruncatedSeries.from_json(jsonio.load_path(args.series))
-            value = series_eval(s, point).to_json()
         else:
             r = BicomplexRational.from_json(jsonio.load_path(args.rational))
-            value = r.evaluate(point).to_json()
+        with np.errstate(all="ignore"):
+            v = series_eval(s, point) if args.series else r.evaluate(point)
+        if not np.isfinite([v.beta1, v.beta2]).all():
+            raise DomainError(
+                f"value at --at point {args.at} is not finite; "
+                "the object overflows or is undefined there"
+            )
+        value = v.to_json()
 
     _emit({"command": "eval", "value": value}, args.out)
     return 0
@@ -236,7 +252,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _error_payload(kind: str, exc: Exception) -> str:
-    return jsonio.dumps({"error": kind, "detail": str(exc)})
+    # str() of a KeyError is the bare repr of the key
+    detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) and exc.args else str(exc)
+    return jsonio.dumps({"error": kind, "detail": detail})
 
 
 def main(argv: list[str] | None = None) -> int:

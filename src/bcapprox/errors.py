@@ -32,11 +32,12 @@ class PolePlacementError(ValueError):
 
 class DegreeExceededError(RuntimeError):
     """Raised when degree/order escalation exhausts its budget before the
-    error target is met.  Carries the best fit found so far.
+    error target is met.  Carries the best fit found so far: the step with
+    the lowest sup residual on the fit sample.
 
     Attributes
     ----------
-    best : the best slot approximant produced during escalation
+    best : the slot fit exported at that step
     error : measured sup error of ``best`` on the validation sample
     """
 

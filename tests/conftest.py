@@ -15,3 +15,9 @@ _PACKAGE_ROOT = str(Path(bcapprox.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_PACKAGE_ROOT, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
 )
+
+# pyproject.toml turns a RuntimeWarning in a test into an error; children get
+# the same rule, so an overflow in a CLI run fails instead of printing a line
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])
+)

@@ -19,6 +19,7 @@ from bcapprox import (
     FunctionSpec,
     IllConditionedError,
     PolePlacementError,
+    Polygon,
     PolygonWithHoles,
     ProductCompact,
     SlotRational,
@@ -135,52 +136,77 @@ def test_undersampled_pole_columns_rejected_up_front():
 # -- the escalation loop against a fresh least-squares solve ----------------------
 
 
-def _hessenberg_columns(w, wv, degree):
-    """Arnoldi polynomials built out to degree on w and replayed on wv."""
+def _hessenberg_columns(w, degree):
+    """Arnoldi polynomials on w built out to degree."""
     q = np.zeros((len(w), degree + 1), dtype=complex)
-    qv = np.zeros((len(wv), degree + 1), dtype=complex)
-    q[:, 0] = qv[:, 0] = 1.0 / math.sqrt(len(w))
+    q[:, 0] = 1.0 / math.sqrt(len(w))
     for k in range(degree):
-        v, vv = w * q[:, k], wv * qv[:, k]
+        v = w * q[:, k]
         for _ in range(2):
             for i in range(k + 1):
-                c = np.vdot(q[:, i], v)
-                v, vv = v - c * q[:, i], vv - c * qv[:, i]
-        nrm = np.linalg.norm(v)
-        q[:, k + 1], qv[:, k + 1] = v / nrm, vv / nrm
-    return q, qv
+                v = v - np.vdot(q[:, i], v) * q[:, i]
+        q[:, k + 1] = v / np.linalg.norm(v)
+    return q
 
 
 @pytest.mark.parametrize(
-    "region, poles",
-    [(Disk(0.2, 1.0), []), (Annulus(0, 0.5, 1.0), [(0j, 30)])],
-    ids=["disk", "annulus-pole"],
+    "region, poles, validation_differs",
+    [
+        (Disk(0.2, 1.0), [], False),
+        (Annulus(0, 0.5, 1.0), [(0j, 30)], False),
+        (Polygon((0, 2, 0.5 + 1.5j)), [], True),
+    ],
+    ids=["disk", "annulus-pole", "polygon"],
 )
-def test_trace_matches_lstsq_reference(region, poles):
-    # every trace step's validation residual equals a fresh least-squares
-    # solve over the same columns: Arnoldi polynomials up to the step's
-    # degree plus column-normalized (z - p)^-m up to its pole orders
+def test_trace_matches_lstsq_reference(region, poles, validation_differs):
+    # every trace step's error is the fit-sample sup residual of a fresh
+    # least-squares solve over the same columns: Arnoldi polynomials up to
+    # the step's degree plus column-normalized (z - p)^-m up to its pole orders
     f = exp(var())
     max_degree = 25
     fit = fit_rational_slot(f, region, poles, 1e-12, max_degree)
     assert fit.achieved and len(fit.trace) >= 14
-    n = fit.samples
-    zf = sample_region(region, n["n_boundary"], 0, DEFAULT_SEED).boundary
-    zv = sample_region(region, n["n_validation_boundary"], 0, DEFAULT_SEED).boundary
+    zf = sample_region(region, fit.samples["n_boundary"], 0, DEFAULT_SEED).boundary
     center, scale = region.center_scale()
-    q, qv = _hessenberg_columns((zf - center) / scale, (zv - center) / scale, max_degree)
-    ff, fv = f.evaluate(zf), f.evaluate(zv)
+    q = _hessenberg_columns((zf - center) / scale, max_degree)
+    ff = f.evaluate(zf)
     for d, orders, err in fit.trace:
         cols = [q[:, : d + 1]]
-        cols_v = [qv[:, : d + 1]]
         for (p, _), o in zip(poles, orders):
             cols.append(np.stack([(zf - p) ** -m for m in range(1, o + 1)], axis=1))
-            cols_v.append(np.stack([(zv - p) ** -m for m in range(1, o + 1)], axis=1))
-        a, av = np.hstack(cols), np.hstack(cols_v)
-        norms = np.linalg.norm(a, axis=0)
-        coef, *_ = np.linalg.lstsq(a / norms, ff, rcond=None)
-        ref = float(np.max(np.abs(fv - (av / norms) @ coef)))
+        a = np.hstack(cols)
+        a = a / np.linalg.norm(a, axis=0)
+        coef, *_ = np.linalg.lstsq(a, ff, rcond=None)
+        ref = float(np.max(np.abs(ff - a @ coef)))
         assert err == pytest.approx(ref, rel=1e-6, abs=1e-14), (d, orders)
+    if validation_differs:
+        # on a polygon the denser validation sample sees a larger error
+        # than the fit sample at the accepted step
+        assert fit.sup_error > (1 + 1e-6) * fit.trace[-1][2]
+
+
+def test_accepted_fit_reports_its_validation_error():
+    region = Polygon((0, 2, 0.5 + 1.5j))
+    f = exp(var())
+    eps = 1e-12
+    fit = fit_polynomial_slot(f, region, eps, 25)
+    assert fit.achieved and fit.trace[-1][2] <= eps
+    zv = sample_region(region, fit.samples["n_validation_boundary"], 0, DEFAULT_SEED).boundary
+    assert len(zv) == fit.samples["n_validation_boundary"]
+    assert fit.sup_error == float(np.max(np.abs(f.evaluate(zv) - fit.approximant(zv))))
+    assert fit.sup_error <= eps
+
+
+def test_exhausted_fit_reports_validation_error_of_lowest_residual_step():
+    with pytest.raises(DegreeExceededError) as exc:
+        fit_polynomial_slot(INV_Z, ANNULUS, 1e-10, 12)
+    best = exc.value.best
+    errs = [err for _, _, err in best.trace]
+    # the exported step is the one with the lowest fit-sample residual
+    assert best.degree == best.trace[errs.index(min(errs))][0]
+    zv = sample_region(ANNULUS, best.samples["n_validation_boundary"], 0, DEFAULT_SEED).boundary
+    want = float(np.max(np.abs(INV_Z.evaluate(zv) - best.approximant(zv))))
+    assert best.sup_error == want == exc.value.error
 
 
 # -- undeclared singularities ------------------------------------------------------

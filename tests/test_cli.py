@@ -13,9 +13,11 @@ import bcapprox
 from bcapprox import (
     Annulus,
     Bicomplex,
+    BicomplexRational,
     Disk,
     FunctionSpec,
     ProductCompact,
+    SlotRational,
     exp,
     gronwall_area_sum,
     inversion_transform,
@@ -297,6 +299,22 @@ def test_approx_samples_match_api(workdir):
     assert report.samples["slot2"] == {"n_boundary": 300, "n_validation_boundary": 1200}
 
 
+def test_approx_max_degree_zero_on_holed_region(workdir):
+    # the automatic pole order cap follows the degree budget but never
+    # drops below 1, so a degree-0 budget fits a constant plus one pole
+    r = run_cli(
+        [
+            "approx", "--function", "f_invz.json", "--region", "k_annulus.json",
+            "--eps", "1e-8", "--max-degree", "0", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode in (0, 1), r.stderr
+    rep = json.loads((workdir / "rep.json").read_text())
+    assert rep["pole_orders"] == [[1], []]
+    assert rep["degrees"] == [0, 0]
+
+
 @pytest.mark.parametrize("pair", [[0.5], [0.5, 0.0, 1.0]], ids=["one", "three"])
 @pytest.mark.parametrize("kind", ["region", "function", "poles", "rational"])
 def test_malformed_pair_exit2(workdir, kind, pair):
@@ -506,6 +524,46 @@ def test_eval_requires_single_object(workdir):
         workdir,
     )
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "point",
+    ["NaN", "Infinity", "1e400", "[0.5, NaN]", '{"b1": "inf", "b2": [Infinity, 0]}'],
+)
+def test_eval_non_finite_point_exit2(workdir, point):
+    r = run_cli(["eval", "--series", "koebe.json", "--at", point], workdir)
+    assert r.returncode == 2
+    payload = json.loads(r.stderr)  # the payload is all there is on stderr
+    assert payload["error"] == "input"
+    assert "non-finite coordinate" in payload["detail"] and repr(point) in payload["detail"]
+
+
+@pytest.mark.parametrize("kind", ["series", "rational"])
+def test_eval_overflowing_value_exit2(workdir, kind):
+    # z + z^2 overflows at 1e308 in both slots
+    quad = SlotRational(0j, 1.0, (0j, 1 + 0j, 1 + 0j))
+    jsonio.dump_path(BicomplexRational(quad, quad).to_json(), workdir / "quad.json")
+    src = "koebe.json" if kind == "series" else "quad.json"
+    r = run_cli(["eval", f"--{kind}", src, "--at", "1e308"], workdir)
+    assert r.returncode == 2
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert payload["detail"].startswith("value at --at point 1e308 is not finite")
+
+
+def test_eval_rational_missing_key_named(workdir):
+    # a whole approx report is not an approximant: its r1 sits one level down
+    r = run_cli(
+        [
+            "approx", "--function", "f_poly.json", "--region", "k_bidisk.json",
+            "--eps", "1e-10", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["eval", "--rational", "rep.json", "--at", "0.5"], workdir)
+    assert r.returncode == 2
+    assert json.loads(r.stderr) == {"error": "input", "detail": "missing key 'r1'"}
 
 
 # -- determinism -------------------------------------------------------------------
