@@ -11,7 +11,6 @@ hyperbolic value.
 from bcapprox import (
     Annulus,
     Disk,
-    FitBudget,
     FunctionSpec,
     ProductCompact,
     approximate,
@@ -57,7 +56,7 @@ print(f"  independent re-measurement: {err.as_tuple()}")
 
 print()
 print("== why the pole is necessary ==")
-_, forced = approximate(func, compact, 1e-9, FitBudget(max_degree=40), poles=([], None))
+_, forced = approximate(func, compact, 1e-9, 40, poles=([], None))
 print(f"same job with poles forbidden: achieved={forced.achieved},")
 print(f"  slot-1 error floor = {forced.sup_error.a1:.4f}  (never below ~1)")
 

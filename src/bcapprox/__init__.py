@@ -4,10 +4,8 @@ series, and a constructive approximation engine for product-type compacts.
 """
 
 from .approx import (
-    DEFAULT_SEED,
     ApproxReport,
     BicomplexRational,
-    FitBudget,
     PoleTerm,
     SlotFit,
     SlotRational,

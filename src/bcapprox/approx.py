@@ -31,8 +31,8 @@ error.  The loop gates on the fit sample; an exported step is accepted only
 if it meets eps on a validation sample four times denser, and that per-slot
 sup norm is the reported error; the pair of slot sup errors is the
 hyperbolic sup error of the bicomplex approximant.  Boundary points are
-equispaced by arclength, so a fit depends on its inputs alone, not on the
-seed, and fitting a slot never looks at the other slot.
+equispaced by arclength, so a fit depends on its inputs alone, and fitting
+a slot never looks at the other slot.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ from .regions import (
     classify_complement,
     sample_region,
 )
-
-DEFAULT_SEED = 1729
 
 
 # -- approximant representation ----------------------------------------------
@@ -248,7 +246,7 @@ def _check_budget(eps: float, max_degree: int) -> None:
         raise DomainError(f"degree budget max_degree must be >= 0, got {max_degree}")
 
 
-def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
+def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     """The one escalation loop behind both slot fitters (see the module
     docstring).  It works on the fit sample alone: each added column costs
     one projection coefficient and one update of the residual f - Q @ coef,
@@ -292,8 +290,8 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary, seed) -> SlotFit:
     coef = np.empty(ncols, dtype=complex)
     owner = np.empty(ncols, dtype=int)  # -1 for a polynomial column, else the pole
 
-    zf = sample_region(region, n_boundary, 0, seed).boundary
-    zv = sample_region(region, 4 * n_boundary, 0, seed).boundary
+    zf = sample_region(region, n_boundary).boundary
+    zv = sample_region(region, 4 * n_boundary).boundary
     f_fit, f_val = _fvals(f, zf), _fvals(f, zv)
     center, scale = region.center_scale()
     w = (zf - center) / scale
@@ -363,7 +361,6 @@ def fit_polynomial_slot(
     max_degree: int,
     *,
     n_boundary: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> SlotFit:
     """Least-squares polynomial fit with degree escalation.
 
@@ -374,7 +371,7 @@ def fit_polynomial_slot(
     holomorphic on a neighborhood; calling it on a holed region is allowed
     and simply tends to end in DegreeExceededError.
     """
-    return _escalate(f, region, [], eps, max_degree, n_boundary, seed)
+    return _escalate(f, region, [], eps, max_degree, n_boundary)
 
 
 def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
@@ -386,9 +383,13 @@ def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
             f"{len(poles)} pole(s) were prescribed"
         )
     seen: set[int] = set()
+    # the even-odd hole test counts some boundary points as inside a hole
+    on_boundary = 1e-12 * region.center_scale()[1]
     for p, cap in poles:
         if cap < 1:
             raise PolePlacementError(f"pole order cap must be >= 1, got {cap}")
+        if region.boundary_distance(p) <= on_boundary:
+            raise PolePlacementError(f"pole {p} lies on the region's boundary")
         idx = region.hole_index(p)
         if idx is None:
             raise PolePlacementError(
@@ -410,7 +411,6 @@ def fit_rational_slot(
     max_degree: int,
     *,
     n_boundary: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> SlotFit:
     """Least-squares fit in {1, w, ..., w^d} + {(z-p_j)^-m} with joint
     degree/order escalation.
@@ -420,21 +420,10 @@ def fit_rational_slot(
     no poles this is fit_polynomial_slot.
     """
     poles = _validate_poles(region, poles)
-    return _escalate(f, region, poles, eps, max_degree, n_boundary, seed)
+    return _escalate(f, region, poles, eps, max_degree, n_boundary)
 
 
 # -- product-level driver ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitBudget:
-    """Escalation limits; pole order cap defaults to max(1, degree cap)."""
-
-    max_degree: int = 40
-    max_pole_order: int | None = None
-
-    def order_cap(self) -> int:
-        return max(1, self.max_degree) if self.max_pole_order is None else self.max_pole_order
 
 
 @dataclass(frozen=True)
@@ -451,7 +440,6 @@ class ApproxReport:
     pole_marker: tuple[str, str]
     pole_points: list[dict]
     samples: dict
-    seed: int
     diagnostics: dict
 
     def to_json(self) -> dict:
@@ -466,7 +454,6 @@ class ApproxReport:
             "pole_marker": {"e1": self.pole_marker[0], "e2": self.pole_marker[1]},
             "pole_points": self.pole_points,
             "samples": self.samples,
-            "seed": self.seed,
             "diagnostics": self.diagnostics,
         }
 
@@ -475,24 +462,28 @@ def approximate(
     func: FunctionSpec,
     compact: ProductCompact,
     eps: float,
-    budget: FitBudget = FitBudget(),
+    max_degree: int = 40,
     poles=None,
     *,
-    seed: int = DEFAULT_SEED,
     n_boundary: int | None = None,
 ) -> tuple[BicomplexRational, ApproxReport]:
     """Approximate a product-type function on a product compact.
 
     The complement class picks polynomial or rational slots.  ``poles``
     optionally overrides per slot: a pair whose entries are None (auto:
-    one pole per hole, anchored at hole centers, order-capped by the
-    budget), an explicit list of (location, max_order), or an empty list
-    to force a polynomial fit regardless of topology.
+    one pole per hole, anchored at hole centers), an explicit list of
+    (location, max_order), or an empty list to force a polynomial fit
+    regardless of topology.  A pole whose max_order is None, automatic
+    poles included, is order-capped at max(1, max_degree).
+
+    ``pole_clearance`` in a slot's diagnostics is the exact distance from
+    its nearest pole to the slot region's boundary; for a pole in a hole
+    that is its distance to the region.
 
     A slot that exhausts its budget is reported honestly: the best
     approximant is returned with achieved=False and a diagnostic message.
     """
-    _check_budget(eps, budget.max_degree)
+    _check_budget(eps, max_degree)
     cls = classify_complement(compact)
     requested = (None, None) if poles is None else poles
     fits: list[SlotFit] = []
@@ -502,18 +493,16 @@ def approximate(
         expr = func.slot_expr(slot)
         req = requested[slot - 1]
         if req is None:
-            plist = [(a, budget.order_cap()) for a in region.hole_anchor_points()]
-        else:
-            plist = [(complex(p), int(cap)) for p, cap in req]
-        kwargs = dict(n_boundary=n_boundary, seed=seed)
+            req = [(a, None) for a in region.hole_anchor_points()]
+        plist = [(complex(p), max(1, max_degree) if cap is None else int(cap)) for p, cap in req]
         try:
             check_poles_clear(expr, region)
             if plist:
                 fit = fit_rational_slot(
-                    expr, region, plist, eps, budget.max_degree, **kwargs
+                    expr, region, plist, eps, max_degree, n_boundary=n_boundary
                 )
             else:
-                fit = fit_polynomial_slot(expr, region, eps, budget.max_degree, **kwargs)
+                fit = fit_polynomial_slot(expr, region, eps, max_degree, n_boundary=n_boundary)
             note = "converged"
         except DegreeExceededError as exc:
             fit = exc.best
@@ -521,20 +510,11 @@ def approximate(
         except DomainError as exc:
             raise DomainError(f"slot {slot}: {exc}") from exc
         fits.append(fit)
-        # denominator check: every pole must stay clear of the compact, so the
-        # bicomplex denominator never meets the null cone on K.  The point of K
-        # nearest a pole in a hole lies on the boundary, which these points sample.
         clearance = None
         if fit.approximant.poles:
-            probe = sample_region(region, 64, 0, seed).boundary
             clearance = min(
-                float(np.min(np.abs(probe - block.location)))
-                for block in fit.approximant.poles
+                region.boundary_distance(block.location) for block in fit.approximant.poles
             )
-            if clearance <= 0:
-                raise PolePlacementError(
-                    f"slot {slot} approximant has a pole on the compact"
-                )
         diagnostics[f"slot{slot}"] = {
             "achieved": fit.achieved,
             "note": note,
@@ -555,7 +535,6 @@ def approximate(
         pole_marker=rational.pole_marker(),
         pole_points=rational.pole_points_extended(),
         samples={"slot1": fits[0].samples, "slot2": fits[1].samples},
-        seed=seed,
         diagnostics=diagnostics,
     )
     return rational, report
@@ -566,8 +545,6 @@ def sup_error_k(
     rational: BicomplexRational,
     compact: ProductCompact,
     n_validation: int,
-    *,
-    seed: int = DEFAULT_SEED,
 ) -> Hyperbolic:
     """Hyperbolic sup norm of F - R over max(8, n_validation) boundary points
     per slot, equispaced by arclength.  By the maximum-modulus principle the
@@ -575,7 +552,7 @@ def sup_error_k(
     """
     errs = []
     for slot in (1, 2):
-        pts = sample_region(compact.region(slot), max(8, n_validation), 0, seed).boundary
+        pts = sample_region(compact.region(slot), max(8, n_validation)).boundary
         f = func.evaluate_slot(slot, pts)
         r = rational.evaluate_slot(slot, pts)
         errs.append(float(np.max(np.abs(f - r))))

@@ -3,8 +3,11 @@
 Exit codes are part of the contract: 0 success, 1 when a bound or error
 target is not met (or evaluation hits the null cone), 2 for input errors.
 Reports are written with the deterministic JSON writer, so two runs with
-the same seed and inputs produce byte-identical files.  The environment
-variable BCAPPROX_SEED, when set, overrides --seed.
+the same inputs produce byte-identical files.
+
+Every subcommand accepts --seed, which BCAPPROX_SEED overrides when set.
+Only the approx report records it ("seed"), and no output depends on it:
+fits sample the boundary at points equispaced by arclength.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .approx import DEFAULT_SEED, BicomplexRational, FitBudget, approximate
+from .approx import BicomplexRational, approximate
 from .core import Bicomplex, ExtendedBicomplex, Hyperbolic, _pair_to_complex
 from .errors import DomainError, IllConditionedError, NullConeError
 from .funcspec import FunctionSpec
@@ -38,6 +41,7 @@ from .series import (
 
 _BOUND_SLACK = 1e-12
 _SAMPLES = 4096
+DEFAULT_SEED = 1729
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,9 +105,8 @@ def _load_poles(path: str | None):
         if key not in obj or obj[key] is None:
             out.append(None)
         else:
-            out.append(
-                [(_pair_to_complex(e["location"]), int(e.get("max_order", 8))) for e in obj[key]]
-            )
+            # a missing max_order leaves the cap to approximate's default rule
+            out.append([(_pair_to_complex(e["location"]), e.get("max_order")) for e in obj[key]])
     return tuple(out)
 
 
@@ -111,12 +114,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
     func = FunctionSpec.from_json(jsonio.load_path(args.function))
     compact = ProductCompact.from_json(jsonio.load_path(args.region))
     poles = _load_poles(args.poles)
-    budget = FitBudget(max_degree=args.max_degree)
     rational, report = approximate(
-        func, compact, args.eps, budget, poles, seed=args.seed, n_boundary=args.samples
+        func, compact, args.eps, args.max_degree, poles, n_boundary=args.samples
     )
     payload = report.to_json()
     payload["command"] = "approx"
+    payload["seed"] = args.seed
     payload["approximant"] = rational.to_json()
     _emit(payload, args.out)
     return 0 if report.achieved else 1
@@ -227,7 +230,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         m = MoebiusMap.from_json(jsonio.load_path(args.moebius))
         if isinstance(point, Bicomplex):
             point = ExtendedBicomplex.from_bicomplex(point)
-        value = moebius_apply(m, point).to_json()
+        try:
+            value = moebius_apply(m, point).to_json()
+        except DomainError as exc:
+            raise DomainError(f"value at --at point {args.at} is undefined: {exc}") from exc
     else:
         if isinstance(point, ExtendedBicomplex):
             point = point.to_bicomplex()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NullConeError
+from .errors import DomainError, NullConeError
 
 _Number = (int, float, complex)
 
@@ -325,17 +325,21 @@ class ExtendedBicomplex:
     Each idempotent slot holds either a finite complex number or the point
     at infinity of that slot's Riemann sphere, giving exactly four kinds:
     finite/finite, inf/finite, finite/inf, inf/inf.  Slots that arrive
-    non-finite are canonicalized to :data:`INF`.
+    infinite are canonicalized to :data:`INF`; a NaN slot is neither a
+    finite value nor infinity and raises DomainError.
     """
 
     c1: complex
     c2: complex
 
     def __post_init__(self):
-        c1 = complex(self.c1)
-        c2 = complex(self.c2)
-        object.__setattr__(self, "c1", INF if _slot_is_inf(c1) else c1)
-        object.__setattr__(self, "c2", INF if _slot_is_inf(c2) else c2)
+        for name in ("c1", "c2"):
+            c = complex(getattr(self, name))
+            if math.isinf(c.real) or math.isinf(c.imag):
+                c = INF
+            elif math.isnan(c.real) or math.isnan(c.imag):
+                raise DomainError(f"extended bicomplex slot {name} is NaN: {c}")
+            object.__setattr__(self, name, c)
 
     @staticmethod
     def from_bicomplex(z: Bicomplex) -> ExtendedBicomplex:

@@ -1,6 +1,6 @@
 """Deterministic JSON serialization for report files.
 
-Reports must be byte-identical across runs with equal seeds, so the writer
+Reports must be byte-identical across runs with equal inputs, so the writer
 avoids anything environment-dependent: object keys are emitted sorted and
 every float is rendered with %.17g (17 significant decimal digits round-trip
 IEEE doubles exactly).
@@ -17,10 +17,7 @@ from pathlib import Path
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("non-finite float in report; encode it upstream as a string")
-    s = "%.17g" % x
-    # %g may produce "1e+05"; normalize the exponent to at least two digits
-    # exactly as printf does, which is already deterministic.
-    return s
+    return "%.17g" % x
 
 
 def dumps(obj) -> str:

@@ -68,17 +68,20 @@ def _polygon_area(verts: tuple[complex, ...]) -> float:
 
 
 class _Curve:
-    """A closed boundary curve parametrized proportionally to arclength."""
+    """A closed boundary curve parametrized proportionally to arclength,
+    with the exact distance from a point to it."""
 
-    def __init__(self, length: float, point_at):
+    def __init__(self, length: float, point_at, distance):
         self.length = length
         self.point_at = point_at  # t in [0, 1) -> complex
+        self.distance = distance  # complex p -> float
 
 
 def _circle_curve(center: complex, radius: float) -> _Curve:
     return _Curve(
         2 * math.pi * radius,
         lambda t: center + radius * np.exp(2j * math.pi * np.asarray(t)),
+        lambda p: abs(abs(p - center) - radius),
     )
 
 
@@ -94,7 +97,15 @@ def _polyline_curve(verts: tuple[complex, ...]) -> _Curve:
         frac = (s - cum[idx]) / seg[idx]
         return pts[idx] + frac * (pts[idx + 1] - pts[idx])
 
-    return _Curve(total, point_at)
+    def distance(p):
+        # nearest point of each segment a + s (b - a), s clipped to [0, 1];
+        # a repeated vertex is a segment of length 0, whose point is a
+        a, ab = pts[:-1], np.diff(pts)
+        s = np.divide(((p - a) * ab.conj()).real, seg**2, out=np.zeros_like(seg), where=seg > 0)
+        s = np.clip(s, 0.0, 1.0)
+        return float(np.min(np.abs(p - (a + s * ab))))
+
+    return _Curve(total, point_at, distance)
 
 
 class PlanarRegion:
@@ -128,6 +139,10 @@ class PlanarRegion:
     def hole_index(self, p: complex) -> int | None:
         """Which bounded complement component contains p, if any."""
         return None
+
+    def boundary_distance(self, p: complex) -> float:
+        """Exact distance from p to the nearest boundary curve."""
+        return min(c.distance(complex(p)) for c in self.boundary_curves())
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -452,11 +467,12 @@ def _scrambled_radical_inverse(table: np.ndarray, start: int, n: int) -> np.ndar
 
 
 def sample_region(
-    region: PlanarRegion, n_boundary: int, n_interior: int, seed: int
+    region: PlanarRegion, n_boundary: int, n_interior: int = 0, seed: int = 0
 ) -> RegionSamples:
     """Deterministic samples: equispaced-by-arclength boundary points on
-    every boundary curve (holes included), which do not depend on the seed,
-    plus quasi-random interior points.
+    every boundary curve (holes included), plus n_interior quasi-random
+    interior points.  The seed changes the interior points only; with the
+    default n_interior of 0 only the region and n_boundary matter.
 
     The interior points are Owen-scrambled Halton points in bases 2 and 3,
     seeded by ``numpy.random.default_rng(seed)`` and identical to those of

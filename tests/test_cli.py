@@ -351,6 +351,59 @@ def test_malformed_pair_exit2(workdir, kind, pair):
     assert not (workdir / "rep.json").exists()
 
 
+def test_approx_pole_without_max_order_gets_degree_cap(workdir):
+    # a poles-file entry without max_order is capped like an automatic pole,
+    # at max(1, --max-degree); at a cap of 8 this fit missed eps (6.4e-6)
+    func = FunctionSpec(
+        exp(Const(1.5) * var()) + Div(Const(1), Var() - 0.1, poles=(0.1 + 0j,)), exp(var())
+    )
+    jsonio.dump_path(func.to_json(), workdir / "f_mixed.json")
+    compact = ProductCompact(Annulus(0, 0.5, 1.0), Disk(0, 1.0))
+    jsonio.dump_path(compact.to_json(), workdir / "k_thin.json")
+    for cap, name in [(None, "p_nocap.json"), (0, "p_zero.json")]:
+        entry = {"location": [0, 0]} if cap is None else {"location": [0, 0], "max_order": cap}
+        jsonio.dump_path({"k1": [entry]}, workdir / name)
+    approx = ["approx", "--function", "f_mixed.json", "--region", "k_thin.json", "--eps", "1e-10"]
+    r = run_cli([*approx, "--poles", "p_nocap.json", "--out", "rep.json"], workdir)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads((workdir / "rep.json").read_text())
+    assert rep["pole_orders"] == [[16], []]
+    # an explicit cap below 1 is still an input error
+    r = run_cli([*approx, "--poles", "p_zero.json", "--out", "rep0.json"], workdir)
+    assert r.returncode == 2
+    assert json.loads(r.stderr) == {
+        "error": "input", "detail": "pole order cap must be >= 1, got 0"
+    }
+
+
+@pytest.mark.parametrize(
+    "location", [[-0.3, -0.3], [0, -0.3], [0.1, -0.3]], ids=["vertex", "edge-mid", "edge"]
+)
+def test_approx_pole_on_hole_boundary_exit2(workdir, location):
+    # the even-odd hole test counts some edge points as inside the hole;
+    # the vertex used to end in a matmul error, the edge points in a fit
+    # with its pole on K
+    square = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+    hole = [[-0.3, -0.3], [0.3, -0.3], [0, 0.3]]
+    k1 = {"shape": "polygon-with-holes", "outer": square, "holes": [hole]}
+    jsonio.dump_path({"k1": k1, "k2": Disk(0, 1.0).to_json()}, workdir / "k_holed.json")
+    jsonio.dump_path(FunctionSpec(exp(var()), exp(var())).to_json(), workdir / "f_exp.json")
+    jsonio.dump_path({"k1": [{"location": location}]}, workdir / "p_edge.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_exp.json", "--region", "k_holed.json",
+            "--eps", "1e-8", "--poles", "p_edge.json", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    payload = json.loads(r.stderr)  # the payload is all there is on stderr
+    assert payload["error"] == "input"
+    assert payload["detail"].endswith("lies on the region's boundary")
+    assert str(complex(*location)) in payload["detail"]
+    assert not (workdir / "rep.json").exists()
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -501,6 +554,20 @@ def test_eval_identity_moebius_echo(workdir):
     assert val == {"b1": [1.0, 0.0], "b2": [0.0, 1.0]}
 
 
+def test_eval_moebius_nan_image_exit2(workdir):
+    # z/(z + 1) at a huge finite point: the slot arithmetic overflows to NaN,
+    # which used to be reported as the point at infinity
+    one, zero = Bicomplex.from_scalar(1).to_json(), Bicomplex.from_scalar(0).to_json()
+    jsonio.dump_path({"A": one, "B": zero, "C": one, "D": one}, workdir / "z_over_z1.json")
+    at = '{"b1": [1e308, 1e308], "b2": [0, 0]}'
+    r = run_cli(["eval", "--moebius", "z_over_z1.json", "--at", at], workdir)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert payload["detail"].startswith(f"value at --at point {at} is undefined")
+
+
 def test_eval_laurent_null_cone_exit1(workdir):
     r = run_cli(
         ["eval", "--series", "z_plus_invz.json", "--at", '{"b1": [1, 0], "b2": [0, 0]}'],
@@ -606,3 +673,20 @@ def test_env_seed_overrides_flag(workdir):
     assert r.returncode == 0
     rep = json.loads((workdir / "rep_env.json").read_text())
     assert rep["seed"] == 77
+
+
+def test_approx_report_differs_across_seeds_only_in_seed_field(workdir):
+    args = ["approx", "--function", "f_invz.json", "--region", "k_annulus.json", "--eps", "1e-9"]
+    runs = [
+        (["--seed", "1"], None, 1),
+        (["--seed", "99"], None, 99),
+        ([], {"BCAPPROX_SEED": "5"}, 5),
+    ]
+    reports = []
+    for flags, env, seed in runs:
+        r = run_cli([*args, *flags, "--out", "rep.json"], workdir, env_extra=env)
+        assert r.returncode == 0, r.stderr
+        rep = json.loads((workdir / "rep.json").read_text())
+        assert rep.pop("seed") == seed
+        reports.append(rep)
+    assert reports[0] == reports[1] == reports[2]

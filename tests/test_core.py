@@ -7,10 +7,12 @@ from bcapprox import (
     E1,
     E2,
     J,
+    INF,
     K,
     ONE,
     ZERO,
     Bicomplex,
+    DomainError,
     ExtendedBicomplex,
     Hyperbolic,
     NullConeError,
@@ -262,6 +264,17 @@ def test_extended_kinds():
     assert ExtendedBicomplex(float("inf"), 2).kind() == "inf/finite"
     assert ExtendedBicomplex(1, complex(0, float("inf"))).kind() == "finite/inf"
     assert ExtendedBicomplex(float("inf"), float("inf")).kind() == "inf/inf"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("slot", [complex(NAN, 0), complex(0, NAN), complex(NAN, NAN)])
+def test_extended_nan_slot_is_an_error(slot):
+    # NaN is neither a finite value nor infinity; an infinite part still wins
+    with pytest.raises(DomainError, match="slot c2 is NaN"):
+        ExtendedBicomplex(1, slot)
+    assert ExtendedBicomplex(complex(float("inf"), NAN), 0).c1 == INF
 
 
 def test_extended_to_bicomplex():

@@ -191,3 +191,15 @@ def test_region_json_roundtrip():
     assert ProductCompact.from_json(k.to_json()) == k
     with pytest.raises(GeometryError):
         PlanarRegion.from_json({"shape": "torus"})
+
+
+def test_boundary_distance_closed_forms():
+    assert Annulus(2 + 0j, 1.0, 3.0).boundary_distance(2.5 + 0j) == 0.5
+    assert Annulus(2 + 0j, 1.0, 3.0).boundary_distance(6 + 0j) == 1.0
+    assert Disk(0, 1.0).boundary_distance(0j) == 1.0
+    square = Polygon(SQUARE)
+    assert square.boundary_distance(0.5 + 0.25j) == pytest.approx(0.25, abs=1e-15)
+    assert square.boundary_distance(2 + 2j) == pytest.approx(np.sqrt(2), abs=1e-15)  # corner
+    assert square.boundary_distance(0.5 + 0j) == 0.0  # on an edge
+    pwh = PolygonWithHoles((0j, 4 + 0j, 4 + 4j, 4j), ((1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j),))
+    assert pwh.boundary_distance(1.5 + 1.2j) == pytest.approx(0.2, abs=1e-15)  # hole edge
