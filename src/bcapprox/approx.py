@@ -252,8 +252,8 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     one projection coefficient and one update of the residual f - Q @ coef,
     whose sup is the step's trace error.  A step whose residual reaches eps
     is exported and accepted when the export meets eps on the validation
-    sample, the error it reports; an exhausted budget exports the step with
-    the lowest residual.
+    sample, the error it reports; an exhausted budget, or a basis collapse
+    after step 0, exports the step with the lowest residual.
     """
     _check_budget(eps, max_degree)
     caps = [cap for _, cap in poles]
@@ -315,40 +315,47 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     trace: list[tuple[int, tuple[int, ...], float]] = []
     best = (math.inf, 0, 0, ())
     k = d = 0
-    for t in range(max(max_degree, max(caps, default=0) - 1) + 1):
-        new = []
-        if t <= max_degree:
-            if t == 0:
-                p_fit[0] = mono[0, 0] = 1.0 / math.sqrt(m)
-            else:
-                h, nrm, p_fit[t] = _orthonormalize(p_fit[:t], w * p_fit[t - 1], f"degree {t}")
-                mono[1 : t + 1, t] = mono[:t, t - 1]
-                mono[: t + 1, t] = (mono[: t + 1, t] - mono[: t + 1, :t] @ h) / nrm
-            new.append((p_fit[t], -1, f"degree {t}"))
-            d = t
-        for j, (p, cap) in enumerate(poles):
-            if t < cap:
-                raw[j] *= u[j]
-                new.append((raw[j], j, f"pole order {t + 1} at {p}"))
-        for col, who, what in new:
-            r[:k, k], r[k, k], q_fit[k] = _orthonormalize(q_fit[:k], col, what)
-            owner[k] = who
-            coef[k] = np.vdot(q_fit[k], f_fit)
-            resid -= coef[k] * q_fit[k]
-            k += 1
-        orders = tuple(min(t + 1, cap) for cap in caps)
-        err = float(np.max(np.abs(resid)))
-        trace.append((d, orders, err))
-        if err < best[0]:
-            best = (err, k, d, orders)
-        if err <= eps:
-            sr, true_err = export(k, d, orders)
-            if true_err <= eps:
-                return SlotFit(sr, true_err, d, orders, True, tuple(trace), samples)
+    try:
+        for t in range(max(max_degree, max(caps, default=0) - 1) + 1):
+            new = []
+            if t <= max_degree:
+                if t == 0:
+                    p_fit[0] = mono[0, 0] = 1.0 / math.sqrt(m)
+                else:
+                    h, nrm, p_fit[t] = _orthonormalize(p_fit[:t], w * p_fit[t - 1], f"degree {t}")
+                    mono[1 : t + 1, t] = mono[:t, t - 1]
+                    mono[: t + 1, t] = (mono[: t + 1, t] - mono[: t + 1, :t] @ h) / nrm
+                new.append((p_fit[t], -1, f"degree {t}"))
+                d = t
+            for j, (p, cap) in enumerate(poles):
+                if t < cap:
+                    raw[j] *= u[j]
+                    new.append((raw[j], j, f"pole order {t + 1} at {p}"))
+            for col, who, what in new:
+                r[:k, k], r[k, k], q_fit[k] = _orthonormalize(q_fit[:k], col, what)
+                owner[k] = who
+                coef[k] = np.vdot(q_fit[k], f_fit)
+                resid -= coef[k] * q_fit[k]
+                k += 1
+            orders = tuple(min(t + 1, cap) for cap in caps)
+            err = float(np.max(np.abs(resid)))
+            trace.append((d, orders, err))
+            if err < best[0]:
+                best = (err, k, d, orders)
+            if err <= eps:
+                sr, true_err = export(k, d, orders)
+                if true_err <= eps:
+                    return SlotFit(sr, true_err, d, orders, True, tuple(trace), samples)
+    except IllConditionedError as exc:
+        if not trace:
+            raise
+        stop = str(exc)  # a collapse after step 0 ends the fit at its best step
+    else:
+        stop = "degree/order budget exhausted"
     _, k, d, orders = best
     sr, err = export(k, d, orders)
     raise DegreeExceededError(
-        f"degree/order budget exhausted; best sup error {err:.3e} > {eps:.3e}",
+        f"{stop}; best sup error {err:.3e} > {eps:.3e}",
         SlotFit(sr, err, d, orders, False, tuple(trace), samples),
         err,
     )

@@ -31,9 +31,10 @@ class PolePlacementError(ValueError):
 
 
 class DegreeExceededError(RuntimeError):
-    """Raised when degree/order escalation exhausts its budget before the
-    error target is met.  Carries the best fit found so far: the step with
-    the lowest sup residual on the fit sample.
+    """Raised when degree/order escalation exhausts its budget, or its basis
+    collapses after the first step, before the error target is met.  Carries
+    the best fit found so far: the step with the lowest sup residual on the
+    fit sample.
 
     Attributes
     ----------

@@ -14,7 +14,10 @@ which is what produces the four C1/C2 zero patterns:
 
 Pole bookkeeping is floating-point aware: a slot denominator smaller than
 1e-13 relative to |C||beta| + |D| is treated as the pole and the slot value
-becomes the point at infinity.
+becomes the point at infinity.  Where a component of beta, A beta + B or
+C beta + D reaches half the float range, and beta is larger than 1, the slot
+evaluates (A + B/beta)/(C + D/beta) instead, with the pole snap scaled to
+match.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .core import INF, Bicomplex, ExtendedBicomplex, _slot_is_inf
 from .errors import DegenerateMapError
 
 _POLE_SNAP = 1e-13
+_HALF_FLOAT_RANGE = 2.0**1023
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,12 @@ def moebius_new(a: Bicomplex, b: Bicomplex, c: Bicomplex, d: Bicomplex) -> Moebi
     return MoebiusMap(a, b, c, d)
 
 
+def _mag(z: complex) -> float:
+    """The larger component of z in absolute value; unlike abs(), it never
+    overflows."""
+    return max(abs(z.real), abs(z.imag))
+
+
 def _apply_slot(a: complex, b: complex, c: complex, d: complex, beta: complex) -> complex:
     if _slot_is_inf(beta):
         # inf -> A/C when the slot truly is fractional, else stays at inf.
@@ -82,11 +92,16 @@ def _apply_slot(a: complex, b: complex, c: complex, d: complex, beta: complex) -
     if c == 0:
         # affine slot; d != 0 is guaranteed by the determinant check
         return (a * beta + b) / d
-    den = c * beta + d
-    scale = abs(c) * abs(beta) + abs(d)
+    num, den = a * beta + b, c * beta + d
+    if _mag(beta) > 1 and max(_mag(num), _mag(den), _mag(beta)) >= _HALF_FLOAT_RANGE:
+        # Python's complex division and abs() overflow inside, to NaN, a wrong
+        # 0 or an OverflowError, past half the float range: divide through by beta
+        num, den, scale = a + b / beta, c + d / beta, abs(c) + abs(d / beta)
+    else:
+        scale = abs(c) * abs(beta) + abs(d)
     if abs(den) <= _POLE_SNAP * scale:
         return INF
-    return (a * beta + b) / den
+    return num / den
 
 
 def moebius_apply(m: MoebiusMap, z: ExtendedBicomplex | Bicomplex) -> ExtendedBicomplex:

@@ -1,4 +1,4 @@
-"""Plane regions, product-type compacts, and deterministic sampling.
+"""Plane regions, product-type compacts, and boundary sampling.
 
 The approximation engine only needs the complement topology of each slot
 region, so the shape vocabulary is closed: disks, annuli, polygons, and
@@ -12,16 +12,11 @@ per slot.  Classification reads the slot complements directly, so it
 serves equally whether or not the null cone is excised from the
 complement (excision changes no slot topology).
 
-Boundary points are equispaced by arclength on every boundary curve and
-do not depend on the seed.  They are the only points the fitter and its
-error measurement use: by the maximum-modulus principle the sup of a
-holomorphic error over K is its sup over the boundary.  Interior points
-remain for other callers.  They are deterministic given the seed:
-Owen-scrambled Halton points in bases 2 and 3 (Owen, "A randomized Halton
-algorithm in R", arXiv:1706.02808), their digit permutations drawn from
-``numpy.random.default_rng(seed)``, mapped to the bounding box and kept when
-inside the region; they are identical, bit for bit, to scipy's
-``qmc.Halton(d=2, scramble=True, seed=seed)``.
+Samples are boundary points alone, equispaced by arclength on every
+boundary curve, holes included.  They are the only points the fitter and
+its error measurement use: by the maximum-modulus principle the sup of a
+holomorphic error over K is its sup over the boundary.  No sample depends
+on a seed, and the library draws no random numbers.
 """
 
 from __future__ import annotations
@@ -125,9 +120,6 @@ class PlanarRegion:
     def contains(self, pts) -> np.ndarray:
         raise NotImplementedError
 
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        raise NotImplementedError
-
     def center_scale(self) -> tuple[complex, float]:
         """A centering point and length scale for basis normalization."""
         raise NotImplementedError
@@ -187,10 +179,6 @@ class Disk(PlanarRegion):
     def contains(self, pts):
         return np.abs(_as_complex_array(pts) - self.center) <= self.radius * (1 + 1e-12)
 
-    def bounding_box(self):
-        c, r = self.center, self.radius
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
-
     def center_scale(self):
         return (self.center, self.radius)
 
@@ -222,10 +210,6 @@ class Annulus(PlanarRegion):
     def contains(self, pts):
         d = np.abs(_as_complex_array(pts) - self.center)
         return (d >= self.r_in * (1 - 1e-12)) & (d <= self.r_out * (1 + 1e-12))
-
-    def bounding_box(self):
-        c, r = self.center, self.r_out
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
     def center_scale(self):
         return (self.center, self.r_out)
@@ -269,11 +253,6 @@ class Polygon(PlanarRegion):
     def contains(self, pts):
         return _points_in_polygon(_as_complex_array(pts), self.vertices)
 
-    def bounding_box(self):
-        xs = [v.real for v in self.vertices]
-        ys = [v.imag for v in self.vertices]
-        return (min(xs), max(xs), min(ys), max(ys))
-
     def center_scale(self):
         c = sum(self.vertices) / len(self.vertices)
         s = max(abs(v - c) for v in self.vertices)
@@ -312,11 +291,6 @@ class PolygonWithHoles(PlanarRegion):
         for hole in self.holes:
             inside &= ~_points_in_polygon(pts, hole)
         return inside
-
-    def bounding_box(self):
-        xs = [v.real for v in self.outer]
-        ys = [v.imag for v in self.outer]
-        return (min(xs), max(xs), min(ys), max(ys))
 
     def center_scale(self):
         c = sum(self.outer) / len(self.outer)
@@ -398,12 +372,16 @@ def classify_complement(k: ProductCompact) -> ComplementClassification:
 
 @dataclass(frozen=True)
 class RegionSamples:
+    """The boundary points ``sample_region`` returns."""
+
     boundary: np.ndarray
-    interior: np.ndarray
 
     @property
-    def all_points(self) -> np.ndarray:
-        return np.concatenate([self.boundary, self.interior])
+    def interior(self) -> np.ndarray:
+        """Always empty: no interior point is ever sampled.  Only the
+        benchmark tracer reads it, for its ``regions.interior_share``
+        metric; the benchmark-hygiene item of ROADMAP.md may drop both."""
+        return np.empty(0, dtype=complex)
 
 
 def _allocate_boundary(lengths: list[float], total: int) -> list[int]:
@@ -428,82 +406,12 @@ def _allocate_boundary(lengths: list[float], total: int) -> list[int]:
     return counts
 
 
-def _halton_tables(seed: int) -> list[np.ndarray]:
-    """Owen's random digit permutations for bases 2 and 3, one row per digit
-    that can still change a double (base**-k > 2**-54), each row stored as
-    permutation times digit weight base**-(k+1).  The weights come from
-    repeated division, as scipy's do; base**-k differs in the last bit."""
-    rng = np.random.default_rng(seed)
-    tables = []
-    for base in (2, 3):
-        rows = math.ceil(54 / math.log2(base)) - 1
-        # shuffles each row in turn, drawing as rng.shuffle(row) would
-        perms = rng.permuted(np.repeat(np.arange(base)[None], rows, axis=0), axis=1)
-        weights = np.empty(rows)
-        w = 1.0
-        for k in range(rows):
-            w /= base
-            weights[k] = w
-        tables.append(perms * weights[:, None])
-    return tables
-
-
-def _scrambled_radical_inverse(table: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Coordinates start .. start+n-1 in the base of one _halton_tables table.
-
-    Each sums its permuted digits from the least significant one up; past the
-    last digit of every index, each row adds its entry for digit 0.
-    """
-    base = table.shape[1]
-    q = np.arange(start, start + n)
-    acc = np.zeros(n)
-    ndigits = len(np.base_repr(start + n - 1, base))
-    for row in table[:ndigits]:
-        q, digit = np.divmod(q, base)
-        acc += row[digit]
-    for zero in table[ndigits:, 0].tolist():
-        acc += zero
-    return acc
-
-
-def sample_region(
-    region: PlanarRegion, n_boundary: int, n_interior: int = 0, seed: int = 0
-) -> RegionSamples:
-    """Deterministic samples: equispaced-by-arclength boundary points on
-    every boundary curve (holes included), plus n_interior quasi-random
-    interior points.  The seed changes the interior points only; with the
-    default n_interior of 0 only the region and n_boundary matter.
-
-    The interior points are Owen-scrambled Halton points in bases 2 and 3,
-    seeded by ``numpy.random.default_rng(seed)`` and identical to those of
-    scipy's ``qmc.Halton(d=2, scramble=True, seed=seed)``.  They are drawn in
-    batches of max(4 * n_interior, 64) consecutive sequence points over the
-    bounding box and kept when inside the region, up to 64 batches.
-    """
+def sample_region(region: PlanarRegion, n_boundary: int) -> RegionSamples:
+    """Points equispaced by arclength on every boundary curve of the region,
+    holes included, split among the curves by ``_allocate_boundary``."""
     if n_boundary < _MIN_PER_CURVE:
         raise DomainError(f"need at least {_MIN_PER_CURVE} boundary samples")
     curves = region.boundary_curves()
     counts = _allocate_boundary([c.length for c in curves], n_boundary)
     chunks = [c.point_at(np.arange(m) / m) for c, m in zip(curves, counts)]
-    boundary = np.concatenate(chunks)
-
-    if n_interior <= 0:
-        return RegionSamples(boundary, np.empty(0, dtype=complex))
-
-    xmin, xmax, ymin, ymax = region.bounding_box()
-    tables = _halton_tables(seed)
-    batch = max(4 * n_interior, 64)
-    accepted: list[np.ndarray] = []
-    got = 0
-    for start in range(0, 64 * batch, batch):
-        x, y = (_scrambled_radical_inverse(table, start, batch) for table in tables)
-        pts = (xmin + x * (xmax - xmin)) + 1j * (ymin + y * (ymax - ymin))
-        keep = pts[region.contains(pts)]
-        accepted.append(keep)
-        got += len(keep)
-        if got >= n_interior:
-            break
-    if got < n_interior:
-        raise GeometryError("interior sampling failed; region appears degenerate")
-    interior = np.concatenate(accepted)[:n_interior]
-    return RegionSamples(boundary, interior)
+    return RegionSamples(np.concatenate(chunks))

@@ -80,7 +80,7 @@ def test_child_loads_no_scipy(tmp_path):
 
 
 def test_child_approx_loads_no_numpy_random(workdir):
-    # the fit samples only the boundary, so no Halton draw pulls in numpy.random
+    # the library draws no random numbers, so nothing pulls in numpy.random
     r = subprocess.run(
         [
             sys.executable, "-X", "importtime", "-m", "bcapprox", "approx",
@@ -243,6 +243,29 @@ def test_approx_undersampled_basis_exit2(workdir):
     assert payload["error"] == "input"
     assert "orthonormal basis" in payload["detail"]
     assert not (workdir / "rep.json").exists()
+
+
+def test_approx_basis_collapse_exit1_with_report(workdir):
+    # a 0.05 hole in the unit disk: the raw pole columns live almost wholly on
+    # the hole circle, and the basis collapses at pole order 35; the fit ends
+    # not achieved at its best step instead of failing as an input error
+    f1 = exp(var()) + Div(Const(1), Var() - Const(0.03), poles=(0.03 + 0j,))
+    jsonio.dump_path(FunctionSpec(f1, exp(var())).to_json(), workdir / "f_hole.json")
+    compact = ProductCompact(Annulus(0, 0.05, 1.0), Disk(0, 1.0))
+    jsonio.dump_path(compact.to_json(), workdir / "k_small_hole.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_hole.json", "--region", "k_small_hole.json",
+            "--eps", "1e-10", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 1, r.stderr
+    rep = json.loads((workdir / "rep.json").read_text())
+    assert rep["achieved"] is False
+    assert rep["diagnostics"]["slot1"]["achieved"] is False
+    assert "collapsed at pole order" in rep["diagnostics"]["slot1"]["note"]
+    assert rep["diagnostics"]["slot2"]["achieved"] is True
 
 
 def test_approx_undeclared_pole_exit2(workdir):
@@ -554,13 +577,26 @@ def test_eval_identity_moebius_echo(workdir):
     assert val == {"b1": [1.0, 0.0], "b2": [0.0, 1.0]}
 
 
-def test_eval_moebius_nan_image_exit2(workdir):
-    # z/(z + 1) at a huge finite point: the slot arithmetic overflows to NaN,
-    # which used to be reported as the point at infinity
+def test_eval_moebius_huge_point_finite(workdir):
+    # z/(z + 1) at a huge finite point is ~1, though (z + 0)/(z + 1) overflows
     one, zero = Bicomplex.from_scalar(1).to_json(), Bicomplex.from_scalar(0).to_json()
     jsonio.dump_path({"A": one, "B": zero, "C": one, "D": one}, workdir / "z_over_z1.json")
     at = '{"b1": [1e308, 1e308], "b2": [0, 0]}'
     r = run_cli(["eval", "--moebius", "z_over_z1.json", "--at", at], workdir)
+    assert r.returncode == 0, r.stderr
+    value = json.loads(r.stdout)["value"]
+    assert abs(complex(*value["b1"]) - 1) <= 1e-12
+    assert value["b2"] == [0.0, 0.0]
+
+
+def test_eval_moebius_nan_image_exit2(workdir):
+    # A = C = 1e308(1 + i): the slot quotient is NaN with or without beta
+    # divided out, which must not be reported as the point at infinity
+    huge = Bicomplex.from_scalar(1e308 + 1e308j).to_json()
+    one, zero = Bicomplex.from_scalar(1).to_json(), Bicomplex.from_scalar(0).to_json()
+    jsonio.dump_path({"A": huge, "B": zero, "C": huge, "D": one}, workdir / "huge.json")
+    at = '{"b1": [1e308, 0], "b2": [0, 0]}'
+    r = run_cli(["eval", "--moebius", "huge.json", "--at", at], workdir)
     assert r.returncode == 2
     assert r.stdout == ""
     payload = json.loads(r.stderr)

@@ -164,6 +164,22 @@ def test_pole_snap_for_inexact_ratio():
     assert v.kind() == "inf/inf"
 
 
+def test_huge_point_against_reference():
+    # (a beta + b)/(c beta + d) overflows at these points; the reference takes
+    # the same quotient with beta, b and d scaled down by an exact power of two
+    assert ref.moebius_eval(1, 0, 1, 1, 1e308 + 1e308j) != 1  # NaN unscaled
+    s = 2.0**600
+    rng = np.random.default_rng(19)
+    maps = [_mk(1, 1, 0, 0, 1, 1, 1, 1)] + [rand_valid_map(rng) for _ in range(20)]
+    for m in maps:
+        for beta in (1e308 + 1e308j, -1.7e308 + 0j, 1e300 - 1e307j, 1.5e308j):
+            v = moebius_apply(m, Bicomplex(beta, beta))
+            for slot, got in ((1, v.c1), (2, v.c2)):
+                a, b, c, d = m.slot_coeffs(slot)
+                want = ref.moebius_eval(a, b / s, c, d / s, beta / s)
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # -- composition and inversion -----------------------------------------------------
 
 

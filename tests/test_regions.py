@@ -1,4 +1,4 @@
-"""Region vocabulary, complement classification, deterministic sampling."""
+"""Region vocabulary, complement classification, boundary sampling."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from bcapprox import (
     classify_complement,
     sample_region,
 )
+from bcapprox.regions import _allocate_boundary
 
 SQUARE = (0j, 1 + 0j, 1 + 1j, 1j)
 
@@ -61,19 +62,19 @@ def test_classification_cases():
 
 
 def test_disk_boundary_equispaced():
-    s = sample_region(Disk(0, 1.0), 8, 0, seed=0)
+    s = sample_region(Disk(0, 1.0), 8)
     expected = np.exp(2j * np.pi * np.arange(8) / 8)
     assert np.allclose(np.sort_complex(s.boundary), np.sort_complex(expected))
 
 
 def test_annulus_boundary_allocation():
-    s = sample_region(Annulus(0, 1.0, 2.0), 16, 0, seed=0)
+    s = sample_region(Annulus(0, 1.0, 2.0), 16)
     r = np.abs(s.boundary)
     assert (np.isclose(r, 1.0).sum(), np.isclose(r, 2.0).sum()) == (8, 8)
 
 
 def test_square_boundary_three_per_side():
-    s = sample_region(Polygon(SQUARE), 12, 0, seed=0)
+    s = sample_region(Polygon(SQUARE), 12)
     assert len(s.boundary) == 12
     on_bottom = np.isclose(s.boundary.imag, 0) & (s.boundary.real < 1)
     assert on_bottom.sum() == 3
@@ -83,82 +84,46 @@ def test_hole_boundaries_always_sampled():
     region = PolygonWithHoles(
         (0j, 4 + 0j, 4 + 4j, 4j), ((1 + 1j, 3 + 1j, 3 + 3j, 1 + 3j),)
     )
-    s = sample_region(region, 24, 0, seed=0)
+    s = sample_region(region, 24)
     inner = [z for z in s.boundary if 0.9 < z.real < 3.1 and 0.9 < z.imag < 3.1]
     assert len(inner) >= 8
 
 
-def test_interior_points_inside():
-    for region in (Disk(1j, 2.0), Annulus(0, 1, 2), Polygon(SQUARE)):
-        s = sample_region(region, 16, 50, seed=3)
-        assert len(s.interior) == 50
-        assert region.contains(s.interior).all()
-
-
 def test_sampling_deterministic():
-    a = sample_region(Annulus(0, 1, 2), 32, 40, seed=7)
-    b = sample_region(Annulus(0, 1, 2), 32, 40, seed=7)
+    a = sample_region(Annulus(0, 1, 2), 32)
+    b = sample_region(Annulus(0, 1, 2), 32)
     assert np.array_equal(a.boundary, b.boundary)
-    assert np.array_equal(a.interior, b.interior)
-    c = sample_region(Annulus(0, 1, 2), 32, 40, seed=8)
-    assert not np.array_equal(a.interior, c.interior)
+    assert a.interior.size == 0
 
 
-def test_interior_points_pinned():
-    # the first three points of this call, as scipy's qmc.Halton(d=2,
-    # scramble=True, seed=7) produced them; no scipy needed to check
-    s = sample_region(Annulus(0, 1.0, 2.0), 32, 40, seed=7)
-    assert s.interior[:3].tolist() == [
-        complex(0.40896932061150926, -0.92787312185961324),
-        complex(1.4089693206115093, 0.84990465591816511),
-        complex(0.90896932061150926, -0.48342867741516882),
-    ]
-
-
-def _scipy_interior(region, n_interior, seed):
-    """Interior points by scipy's scrambled Halton through the same
-    rejection loop: batches of max(4 n, 64) points, at most 64 batches."""
-    qmc = pytest.importorskip("scipy.stats").qmc
-    xmin, xmax, ymin, ymax = region.bounding_box()
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
-    accepted = []
-    got = 0
-    for _ in range(64):
-        raw = sampler.random(max(4 * n_interior, 64))
-        pts = (xmin + raw[:, 0] * (xmax - xmin)) + 1j * (ymin + raw[:, 1] * (ymax - ymin))
-        keep = pts[region.contains(pts)]
-        accepted.append(keep)
-        got += len(keep)
-        if got >= n_interior:
-            break
-    return np.concatenate(accepted)[:n_interior]
-
-
-_ROTATED_THIN_RECT = Polygon(
-    tuple(np.exp(0.25j * np.pi) * v for v in (-1 - 0.01j, 1 - 0.01j, 1 + 0.01j, -1 + 0.01j))
+_TWO_HOLES = PolygonWithHoles(
+    (0j, 4 + 0j, 4 + 4j, 4j),
+    ((1 + 1j, 1.5 + 1j, 1.5 + 1.5j), (2.5 + 2.5j, 3 + 2.5j, 3 + 3j)),
 )
 
 
 @pytest.mark.parametrize(
     "region",
-    [
-        Disk(0.3 - 0.2j, 1.0),
-        Annulus(0.2j, 0.5, 1.0),
-        PolygonWithHoles((-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j), ((-0.3 - 0.3j, 0.3 - 0.3j, 0.3j),)),
-        _ROTATED_THIN_RECT,  # ~2 % of its bounding box: many batches
-    ],
-    ids=["disk", "annulus", "polygon-with-hole", "rotated-thin-rect"],
+    [Disk(0.3 - 0.2j, 1.0), Annulus(0.2j, 0.5, 1.0), Polygon(SQUARE), _TWO_HOLES],
+    ids=["disk", "annulus", "polygon", "polygon-with-two-holes"],
 )
-@pytest.mark.parametrize("seed", [0, 7, 1729, 1729 + 1_000_003])
-@pytest.mark.parametrize("n_interior", [1, 123, 972])
-def test_interior_matches_scipy_halton(region, seed, n_interior):
-    ours = sample_region(region, 16, n_interior, seed).interior
-    assert np.array_equal(ours, _scipy_interior(region, n_interior, seed))
+@pytest.mark.parametrize("n", [8, 37, 500])
+def test_samples_lie_on_each_boundary_curve(region, n):
+    # every point lies on the boundary of K, and each curve gets exactly the
+    # count _allocate_boundary gives it, in the order of boundary_curves()
+    pts = sample_region(region, n).boundary
+    scale = region.center_scale()[1]
+    assert all(region.boundary_distance(z) <= 1e-12 * scale for z in pts)
+    curves = region.boundary_curves()
+    counts = _allocate_boundary([c.length for c in curves], n)
+    assert len(pts) == sum(counts)
+    for curve, chunk in zip(curves, np.split(pts, np.cumsum(counts)[:-1])):
+        assert all(curve.distance(z) <= 1e-12 * scale for z in chunk)
 
 
 def test_min_boundary_guard():
     with pytest.raises(DomainError):
-        sample_region(Disk(0, 1), 4, 0, seed=0)
+        sample_region(Disk(0, 1), 4)
 
 
 def test_hole_index_and_anchors():
