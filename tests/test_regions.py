@@ -96,6 +96,76 @@ def test_sampling_deterministic():
     assert a.interior.size == 0
 
 
+def _bounding_box(region):
+    if isinstance(region, (Disk, Annulus)):
+        c = region.center
+        r = region.radius if isinstance(region, Disk) else region.r_out
+        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
+    verts = region.vertices if isinstance(region, Polygon) else region.outer
+    xs = [v.real for v in verts]
+    ys = [v.imag for v in verts]
+    return (min(xs), max(xs), min(ys), max(ys))
+
+
+def _winding(pts, verts):
+    """Winding number of each closed polygon around each point, summed
+    from the turning angles; independent of the even-odd crossing rule."""
+    d = np.asarray(verts, dtype=complex)[None, :] - pts[:, None]
+    turn = np.angle(np.roll(d, -1, axis=1) / d).sum(axis=1)
+    return np.rint(turn / (2 * np.pi)).astype(int)
+
+
+def _exact_member(region, pts):
+    if isinstance(region, Disk):
+        return np.abs(pts - region.center) < region.radius
+    if isinstance(region, Annulus):
+        d = np.abs(pts - region.center)
+        return (region.r_in < d) & (d < region.r_out)
+    if isinstance(region, Polygon):
+        return _winding(pts, region.vertices) != 0
+    inside = _winding(pts, region.outer) != 0
+    for hole in region.holes:
+        inside &= _winding(pts, hole) == 0
+    return inside
+
+
+_ROTATED_THIN_RECT = Polygon(
+    tuple(np.exp(0.25j * np.pi) * v for v in (-1 - 0.01j, 1 - 0.01j, 1 + 0.01j, -1 + 0.01j))
+)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Disk(0.3 - 0.2j, 1.0),
+        Annulus(0.2j, 0.5, 1.0),
+        PolygonWithHoles((-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j), ((-0.3 - 0.3j, 0.3 - 0.3j, 0.3j),)),
+        _ROTATED_THIN_RECT,  # ~2 % of its bounding box: many batches
+    ],
+    ids=["disk", "annulus", "polygon-with-hole", "rotated-thin-rect"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 1729, 1729 + 1_000_003])
+@pytest.mark.parametrize("n_interior", [1, 123, 972])
+def test_interior_matches_scipy_halton(region, seed, n_interior):
+    # region.contains, which pole clearance and hole validation rely on,
+    # sorts scipy's scrambled Halton points over the bounding box exactly
+    # as the winding number (polygons) or the modulus (circles) does; the
+    # points come in batches of max(4 n, 64) until n_interior fall inside
+    qmc = pytest.importorskip("scipy.stats").qmc
+    xmin, xmax, ymin, ymax = _bounding_box(region)
+    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
+    got = 0
+    for _ in range(64):
+        raw = sampler.random(max(4 * n_interior, 64))
+        pts = (xmin + raw[:, 0] * (xmax - xmin)) + 1j * (ymin + raw[:, 1] * (ymax - ymin))
+        inside = _exact_member(region, pts)
+        assert np.array_equal(region.contains(pts), inside)
+        got += int(inside.sum())
+        if got >= n_interior:
+            break
+    assert got >= n_interior
+
+
 _TWO_HOLES = PolygonWithHoles(
     (0j, 4 + 0j, 4 + 4j, 4j),
     ((1 + 1j, 1.5 + 1j, 1.5 + 1.5j), (2.5 + 2.5j, 3 + 2.5j, 3 + 3j)),
