@@ -9,15 +9,15 @@ region; the complement pattern of the product compact decides the form:
     T1 (both have holes)              rational x rational
 
 Both forms come out of one escalation loop; a polynomial is the rational
-case with no poles.  Step t adds the degree-t polynomial, built by the
-Vandermonde-with-Arnoldi device (each new power orthogonalized against the
-previous polynomials on the sample set, which keeps the basis well
-conditioned far beyond where raw monomials give up), then order t+1 of each
-prescribed pole (z - p)^-m, one pole per bounded complement component; the
-raw pole column of order t+1 is that of order t times 1/(z - p).  Every new
-column is orthonormalized once against all earlier ones, so the
-least-squares fit grows by one coefficient per column and is exported to
-monomial and partial-fraction form only when a step meets the target.
+case with no poles.  Step t adds degree t, then order t+1 of each prescribed
+pole (z - p)^-m, one pole per bounded complement component.  The degree-t
+column is w times the orthonormal degree-(t-1) column (Vandermonde with
+Arnoldi, Brubeck, Nakatsukasa & Trefethen 2021), which stays well
+conditioned far beyond where raw monomials give up; the raw pole column of
+order t+1 is that of order t times 1/(z - p).  Every new column is
+orthonormalized once against all earlier ones.  Row k of a matrix T holds
+column k's coefficients in the raw columns w^j and (z - p)^-m, so a step is
+exported to monomial and partial-fraction form as coef @ T.
 
 The work buffers are sized by the budget but store one basis column per
 row.  Each column is then one contiguous row, and memory pages are touched
@@ -268,72 +268,73 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
             f"{m} samples cannot support an orthonormal basis of degree {max_degree} "
             f"with pole orders {tuple(caps)}"
         )
-    # One basis column per row: np.empty reserves the whole budget, but a
-    # row's pages are touched only when its column is written, so a fit that
-    # stops early pays for the columns it added.  The buffers are allocated
-    # before any sample is drawn, so a budget too large for memory fails
-    # here without touching any.
+    # One basis column per row: np.empty reserves the whole budget, but only
+    # the rows written get pages, so a fit pays for the columns it added; a
+    # budget too large for memory fails here, before any sample is drawn.
+    # Row k of T holds q_fit[k]'s coefficients in the raw columns: w^0 ..
+    # w^max_degree, then each pole's (z-p)^-1 .. (z-p)^-cap.
     try:
-        # Arnoldi polynomials and their ascending monomial coefficients in w
-        # (column d holds p_d, an upper triangular matrix)
-        p_fit = np.empty((max_degree + 1, m), dtype=complex)
-        mono = np.zeros((max_degree + 1, max_degree + 1), dtype=complex)
-        # least-squares basis: the columns in the order added, orthonormalized;
-        # row k = (added column k - r[:k, k] @ q[:k]) / r[k, k]
         q_fit = np.empty((ncols, m), dtype=complex)
-        r = np.zeros((ncols, ncols), dtype=complex)
+        T = np.zeros((ncols, ncols), dtype=complex)
     except MemoryError as exc:
         raise DomainError(
             f"degree budget max_degree={max_degree} with pole orders {tuple(caps)} needs "
             f"{ncols} basis columns on {m} samples; its work buffers cannot be allocated"
         ) from exc
     coef = np.empty(ncols, dtype=complex)
-    owner = np.empty(ncols, dtype=int)  # -1 for a polynomial column, else the pole
+    offsets = [max_degree + 1 + sum(caps[:j]) for j in range(len(caps))]
 
     zf = sample_region(region, n_boundary).boundary
     zv = sample_region(region, 4 * n_boundary).boundary
     f_fit, f_val = _fvals(f, zf), _fvals(f, zv)
     center, scale = region.center_scale()
     w = (zf - center) / scale
-    # 1/(z - p) per pole, and the latest raw pole column: order t + 1 is
-    # order t times u, one multiply per sample point
+    # 1/(z - p) per pole and the latest raw pole column: order t+1 = order t * u
     u = [1.0 / (zf - p) for p, _ in poles]
     raw = [np.ones(m, dtype=complex) for _ in poles]
     resid = f_fit.copy()
 
+    def unit(i):
+        return np.eye(1, ncols, i, dtype=complex)[0]
+
+    def times_w(a):
+        # raw coefficients of w times a column: powers of w move up by one,
+        # and w (z-p)^-m = ((z-p)^-(m-1) + (p - center) (z-p)^-m) / scale
+        out = np.zeros(ncols, dtype=complex)
+        out[1 : max_degree + 1] = a[:max_degree]
+        for (p, cap), o in zip(poles, offsets):
+            b = a[o : o + cap] / scale
+            out[o : o + cap] += (p - center) * b
+            out[o : o + cap - 1] += b[1:]
+            out[0] += b[0]
+        return out
+
     def export(k, d, orders) -> tuple[SlotRational, float]:
-        a = np.linalg.solve(r[:k, :k], coef[:k])
-        poly = mono[: d + 1, : d + 1] @ a[owner[:k] == -1]
-        blocks = tuple(
-            PoleTerm(p, o, tuple(complex(c) for c in a[owner[:k] == j]))
-            for j, ((p, _), o) in enumerate(zip(poles, orders))
-        )
-        sr = SlotRational(center, scale, tuple(complex(c) for c in poly), blocks)
+        a = [complex(c) for c in coef[:k] @ T[:k]]
+        pairs = zip(poles, orders, offsets)
+        blocks = tuple(PoleTerm(p, o, tuple(a[i : i + o])) for (p, _), o, i in pairs)
+        sr = SlotRational(center, scale, tuple(a[: d + 1]), blocks)
         return sr, float(np.max(np.abs(f_val - sr(zv))))
 
     samples = {"n_boundary": m, "n_validation_boundary": mv}
     trace: list[tuple[int, tuple[int, ...], float]] = []
     best = (math.inf, 0, 0, ())
-    k = d = 0
+    k = d = last = 0
     try:
         for t in range(max(max_degree, max(caps, default=0) - 1) + 1):
             new = []
             if t <= max_degree:
-                if t == 0:
-                    p_fit[0] = mono[0, 0] = 1.0 / math.sqrt(m)
-                else:
-                    h, nrm, p_fit[t] = _orthonormalize(p_fit[:t], w * p_fit[t - 1], f"degree {t}")
-                    mono[1 : t + 1, t] = mono[:t, t - 1]
-                    mono[: t + 1, t] = (mono[: t + 1, t] - mono[: t + 1, :t] @ h) / nrm
-                new.append((p_fit[t], -1, f"degree {t}"))
-                d = t
+                # degree t is w times the orthonormal degree-(t-1) row `last`
+                col = w * q_fit[last] if t else np.ones(m, dtype=complex)
+                new.append((col, times_w(T[last]) if t else unit(0), f"degree {t}"))
+                last, d = k, t
             for j, (p, cap) in enumerate(poles):
                 if t < cap:
                     raw[j] *= u[j]
-                    new.append((raw[j], j, f"pole order {t + 1} at {p}"))
-            for col, who, what in new:
-                r[:k, k], r[k, k], q_fit[k] = _orthonormalize(q_fit[:k], col, what)
-                owner[k] = who
+                    new.append((raw[j], unit(offsets[j] + t), f"pole order {t + 1} at {p}"))
+            for col, base, what in new:
+                h, nrm, q_fit[k] = _orthonormalize(q_fit[:k], col, what)
+                T[k] = (base - h @ T[:k]) / nrm
                 coef[k] = np.vdot(q_fit[k], f_fit)
                 resid -= coef[k] * q_fit[k]
                 k += 1

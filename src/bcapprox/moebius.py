@@ -14,18 +14,21 @@ which is what produces the four C1/C2 zero patterns:
 
 Pole bookkeeping is floating-point aware: a slot denominator smaller than
 1e-13 relative to |C||beta| + |D| is treated as the pole and the slot value
-becomes the point at infinity.  Where a component of beta, A beta + B or
-C beta + D reaches half the float range, and beta is larger than 1, the slot
-evaluates (A + B/beta)/(C + D/beta) instead, with the pole snap scaled to
-match.
+becomes the point at infinity.  Where a component of beta, C, D, A beta + B
+or C beta + D reaches half the float range, sizes are measured by the larger
+component, and a beta larger than 1 is divided out: the slot evaluates
+(A + B/beta)/(C + D/beta), with the pole snap scaled to match.  A finite
+beta whose slot quotient still overflows, inside the division or in its
+value, is a DomainError, not the point at infinity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import INF, Bicomplex, ExtendedBicomplex, _slot_is_inf
-from .errors import DegenerateMapError
+from .errors import DegenerateMapError, DomainError
 
 _POLE_SNAP = 1e-13
 _HALF_FLOAT_RANGE = 2.0**1023
@@ -43,7 +46,8 @@ class MoebiusMap:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if det.in_null_cone():
+        # an exact zero test: abs() of a slot beyond half the range overflows
+        if det.beta1 == 0 or det.beta2 == 0:
             raise DegenerateMapError(
                 f"determinant {det} lies in the null cone; the slot maps are "
                 "not both invertible"
@@ -85,23 +89,44 @@ def _mag(z: complex) -> float:
     return max(abs(z.real), abs(z.imag))
 
 
+def _below_half_range(z: complex) -> bool:
+    return abs(z.real) < _HALF_FLOAT_RANGE and abs(z.imag) < _HALF_FLOAT_RANGE
+
+
+def _quotient(num: complex, den: complex, beta: complex) -> complex:
+    """num / den, or a DomainError where the division overflows.  Python
+    divides by Smith's method, whose denominator hi + lo * (lo / hi) in the
+    parts of den overflows near the top of the float range and then gives
+    NaN or a wrong 0; an overflowing numerator or quotient gives inf."""
+    value = num / den
+    hi, lo = max(abs(den.real), abs(den.imag)), min(abs(den.real), abs(den.imag))
+    if _slot_is_inf(value) or math.isinf(hi + lo * (lo / hi)):
+        raise DomainError(f"evaluating the map's slot at {beta} overflows the float range")
+    return value
+
+
 def _apply_slot(a: complex, b: complex, c: complex, d: complex, beta: complex) -> complex:
     if _slot_is_inf(beta):
         # inf -> A/C when the slot truly is fractional, else stays at inf.
-        return a / c if c != 0 else INF
+        return _quotient(a, c, beta) if c != 0 else INF
     if c == 0:
         # affine slot; d != 0 is guaranteed by the determinant check
-        return (a * beta + b) / d
+        return _quotient(a * beta + b, d, beta)
     num, den = a * beta + b, c * beta + d
-    if _mag(beta) > 1 and max(_mag(num), _mag(den), _mag(beta)) >= _HALF_FLOAT_RANGE:
-        # Python's complex division and abs() overflow inside, to NaN, a wrong
-        # 0 or an OverflowError, past half the float range: divide through by beta
-        num, den, scale = a + b / beta, c + d / beta, abs(c) + abs(d / beta)
+    if all(map(_below_half_range, (beta, c, d, num, den))):
+        if abs(den) <= _POLE_SNAP * (abs(c) * abs(beta) + abs(d)):
+            return INF
+        return _quotient(num, den, beta)
+    # past half the float range abs() can raise OverflowError and the direct
+    # products overflow: divide through by a large beta, and measure sizes by
+    # _mag, each term scaled before the sum
+    if _mag(beta) > 1:
+        num, den, cb, db = a + b / beta, c + d / beta, _mag(c), _mag(d / beta)
     else:
-        scale = abs(c) * abs(beta) + abs(d)
-    if abs(den) <= _POLE_SNAP * scale:
+        cb, db = _mag(c) * _mag(beta), _mag(d)
+    if _mag(den) <= _POLE_SNAP * cb + _POLE_SNAP * db:
         return INF
-    return num / den
+    return _quotient(num, den, beta)
 
 
 def moebius_apply(m: MoebiusMap, z: ExtendedBicomplex | Bicomplex) -> ExtendedBicomplex:

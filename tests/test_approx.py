@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from bcapprox import (
     sup_error_k,
     var,
 )
+from bcapprox import approx as approx_module
 from bcapprox.funcspec import Const, Div, Pow, Var
 
 UNIT_DISK = Disk(0, 1.0)
@@ -181,6 +183,87 @@ def test_trace_matches_lstsq_reference(region, poles, validation_differs):
         # on a polygon the denser validation sample sees a larger error
         # than the fit sample at the accepted step
         assert fit.sup_error > (1 + 1e-6) * fit.trace[-1][2]
+
+
+@pytest.mark.parametrize(
+    "region, poles",
+    [(Annulus(0, 0.5, 1.0), [(0j, 40)]), (UNIT_DISK, [])],
+    ids=["annulus-pole", "disk"],
+)
+def test_one_orthonormalization_per_column(monkeypatch, region, poles):
+    # the degree-t column grows from the orthonormal degree-(t-1) row, so no
+    # column is orthonormalized twice
+    orthonormalize, calls = approx_module._orthonormalize, []
+
+    def counted(basis, v, what):
+        calls.append(what)
+        return orthonormalize(basis, v, what)
+
+    monkeypatch.setattr(approx_module, "_orthonormalize", counted)
+    fit = fit_rational_slot(exp(var()), region, poles, 1e-10, 40)
+    assert fit.achieved
+    assert len(calls) == fit.degree + 1 + sum(fit.pole_orders)
+    assert len(set(calls)) == len(calls)
+
+
+_TWO_HOLES = PolygonWithHoles(
+    (-2 - 2j, 3 - 2j, 3 + 2j, -2 + 2j),
+    ((-1.3 - 0.3j, -0.7 - 0.3j, -0.7 + 0.3j, -1.3 + 0.3j), (0.7 - 0.3j, 1.3, 0.7 + 0.3j)),
+)
+
+
+@pytest.mark.parametrize(
+    "region, poles, f",
+    [
+        (Disk(0.2, 1.0), [], np.exp),
+        (
+            Annulus(0.3 + 0.1j, 0.5, 1.0),
+            [(0.4 + 0.1j, 30)],
+            lambda z: np.exp(z) + 1 / (z - 0.4 - 0.1j),
+        ),
+        (
+            _TWO_HOLES,
+            [(-1, 30), (0.9, 30)],
+            lambda z: np.exp(z) + 1 / (z + 1) + 0.5 / (z - 0.9) ** 2,
+        ),
+    ],
+    ids=["disk", "annulus-pole", "polygon-two-holes"],
+)
+def test_export_reproduces_trace_error(region, poles, f):
+    # the monomial and partial-fraction export, evaluated on the fit sample,
+    # has the residual that the loop recorded for the accepted step
+    fit = fit_rational_slot(f, region, poles, 1e-6, 30, n_boundary=400)
+    assert fit.achieved
+    zf = sample_region(region, 400).boundary
+    got = float(np.max(np.abs(f(zf) - fit.approximant(zf))))
+    assert got == pytest.approx(fit.trace[-1][2], rel=1e-6)
+
+
+def test_export_matches_mpmath_lstsq():
+    # degree 4 and pole order 3 on 40 points: the exported coefficients are
+    # the least-squares solution over the raw columns w^k and (z - p)^-m
+    region, p = Annulus(0, 0.5, 1.0), 0.1
+
+    def f(z):
+        return np.exp(z) + 1 / (z - p)
+
+    with pytest.raises(DegreeExceededError) as exc:
+        fit_rational_slot(f, region, [(p, 3)], 1e-15, 4, n_boundary=40)
+    sr = exc.value.best.approximant
+    assert sr.degree == 4 and sr.pole_orders == (3,)
+    zf = sample_region(region, 40).boundary
+    center, scale = region.center_scale()
+    with mpmath.workdps(50):
+        zs = [mpmath.mpc(complex(z)) for z in zf]
+        w = [(z - mpmath.mpc(center)) / scale for z in zs]
+        a = mpmath.matrix(
+            [[x**k for k in range(5)] + [(z - p) ** -m for m in (1, 2, 3)] for x, z in zip(w, zs)]
+        )
+        b = mpmath.matrix([mpmath.exp(z) + 1 / (z - p) for z in zs])
+        want = mpmath.lu_solve(a.H * a, a.H * b)
+    got = list(sr.poly) + list(sr.poles[0].coeffs)
+    assert len(got) == len(want) == 8
+    assert max(abs(g - complex(x)) for g, x in zip(got, want)) <= 1e-8
 
 
 def test_accepted_fit_reports_its_validation_error():

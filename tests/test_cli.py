@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -602,6 +603,35 @@ def test_eval_moebius_nan_image_exit2(workdir):
     payload = json.loads(r.stderr)
     assert payload["error"] == "input"
     assert payload["detail"].startswith(f"value at --at point {at} is undefined")
+
+
+def test_eval_moebius_huge_denominator_coefficient(workdir):
+    # C = 1.5e308(1 + i) in both slots: |C| overflows abs(), the value does not
+    huge = Bicomplex.from_scalar(1.5e308 + 1.5e308j).to_json()
+    one, zero = Bicomplex.from_scalar(1).to_json(), Bicomplex.from_scalar(0).to_json()
+    jsonio.dump_path({"A": one, "B": zero, "C": huge, "D": one}, workdir / "huge_c.json")
+    r = run_cli(["eval", "--moebius", "huge_c.json", "--at", "0.5"], workdir)
+    assert r.returncode == 0, r.stderr
+    with mpmath.workdps(50):
+        beta = mpmath.mpf("0.5")
+        want = complex(beta / (mpmath.mpc("1.5e308", "1.5e308") * beta + 1))
+    assert abs(want - complex(3.33333e-309, -3.33333e-309)) <= 1e-5 * abs(want)
+    for slot in json.loads(r.stdout)["value"].values():
+        assert abs(complex(*slot) - want) <= 1e-12 * abs(want)
+
+
+def test_eval_moebius_affine_overflow_exit2(workdir):
+    # 2 z at 1e308(1 + i) lies beyond the float range: a named overflow, not NaN
+    two, one = Bicomplex.from_scalar(2).to_json(), Bicomplex.from_scalar(1).to_json()
+    zero = Bicomplex.from_scalar(0).to_json()
+    jsonio.dump_path({"A": two, "B": zero, "C": zero, "D": one}, workdir / "double.json")
+    at = '{"b1": [1e308, 1e308], "b2": [0, 0]}'
+    r = run_cli(["eval", "--moebius", "double.json", "--at", at], workdir)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    detail = json.loads(r.stderr)["detail"]
+    assert detail.startswith(f"value at --at point {at} is undefined")
+    assert "overflows" in detail and "NaN" not in detail
 
 
 def test_eval_laurent_null_cone_exit1(workdir):

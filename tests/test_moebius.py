@@ -1,8 +1,13 @@
 """Moebius maps: validation, the four C1/C2 patterns, extended values."""
 
+import contextlib
+import io
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import complex_ref as ref
@@ -12,8 +17,10 @@ from bcapprox import (
     ZERO,
     Bicomplex,
     DegenerateMapError,
+    DomainError,
     ExtendedBicomplex,
     MoebiusMap,
+    cli,
     identity_map,
     moebius_apply,
     moebius_compose,
@@ -180,6 +187,26 @@ def test_huge_point_against_reference():
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_determinant_past_abs_range_is_valid():
+    # slot-1 determinant 1.5e308(1 + i): abs() overflows on it, the map is valid
+    m = moebius_new(Bicomplex(1e308 + 1e308j, 1), ZERO, ZERO, Bicomplex(1.5, 1))
+    v = moebius_apply(m, Bicomplex(0.9, 0.9))
+    assert v.c1 == pytest.approx((1e308 + 1e308j) * 0.9 / 1.5, rel=1e-15)
+    # A = D = 1e200: the determinant overflows to inf, which is not zero
+    big = Bicomplex(1e200, 1)
+    v = moebius_apply(moebius_new(big, ZERO, ZERO, big), Bicomplex(0.9, 2))
+    assert v.c1 == pytest.approx(0.9, rel=1e-15)
+
+
+def test_division_overflow_is_named_not_zero():
+    # the slot-1 denominator at 0.9 is 1.35e308(1 + i): Python's complex
+    # division returns 0 there, though the value is 0.45(1 - i)
+    assert (1.35e308 * 0.9) / ((1.5e308 + 1.5e308j) * 0.9 + 1) == 0
+    m = moebius_new(Bicomplex(1.35e308, 1), ZERO, Bicomplex(1.5e308 + 1.5e308j, 0), ONE)
+    with pytest.raises(DomainError, match="overflows the float range"):
+        moebius_apply(m, Bicomplex(0.9, 0.9))
+
+
 # -- composition and inversion -----------------------------------------------------
 
 
@@ -302,3 +329,38 @@ def test_inverse_undoes_each_slot_map(m, w1, w2):
     assert back.is_finite()
     assert abs(back.c1 - w1) <= 1e-10 * (1 + abs(w1))
     assert abs(back.c2 - w2) <= 1e-10 * (1 + abs(w2))
+
+
+# -- the CLI over the whole float range ----------------------------------------------
+
+# log-uniform over the range, plus its top decade, where products and sums
+# leave the float range, and the unit scale, where a huge C or D meets an
+# ordinary point
+magnitude = st.one_of(
+    st.floats(min_value=-300, max_value=308).map(lambda e: 10.0**e),
+    st.floats(min_value=1e307, max_value=1e308),
+    st.floats(min_value=0.5, max_value=2.0),
+)
+component = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+bicomplex_json = st.fixed_dictionaries(
+    {"b1": st.tuples(component, component), "b2": st.tuples(component, component)}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.tuples(*[bicomplex_json] * 4), at=bicomplex_json)
+def test_eval_moebius_cli_keeps_exit_contract(tmp_path_factory, coeffs, at):
+    # any finite coefficients and point: exit 0, 1 or 2 with a JSON payload,
+    # never an escaped exception, and a printed value is finite or "inf"
+    path = tmp_path_factory.getbasetemp() / "moebius_drawn.json"
+    path.write_text(json.dumps(dict(zip("ABCD", coeffs))), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["eval", "--moebius", str(path), "--at", json.dumps(at)])
+    assert rc in (0, 1, 2)
+    payload = json.loads(out.getvalue() if rc == 0 else err.getvalue())
+    if rc == 0:
+        for slot in payload["value"].values():
+            assert slot == "inf" or all(math.isfinite(x) for x in slot)
+    else:
+        assert payload["error"] in ("input", "null-cone") and payload["detail"]
