@@ -191,7 +191,7 @@ class Bicomplex:
 
     def in_null_cone(self, tol: float = 0.0) -> bool:
         """True iff Z is zero or a zero divisor, i.e. min(|b1|, |b2|) <= tol."""
-        return min(abs(self.beta1), abs(self.beta2)) <= tol
+        return min(_modulus(self.beta1), _modulus(self.beta2)) <= tol
 
     def is_zero_divisor(self, tol: float = 0.0) -> bool:
         return not self.is_zero() and self.in_null_cone(tol)
@@ -223,7 +223,7 @@ class Bicomplex:
 
     def norm_k(self) -> Hyperbolic:
         """The hyperbolic norm (|beta1|, |beta2|); multiplicative per slot."""
-        return Hyperbolic(abs(self.beta1), abs(self.beta2))
+        return Hyperbolic(_modulus(self.beta1), _modulus(self.beta2))
 
     # -- serialization ----------------------------------------------------
 
@@ -249,6 +249,15 @@ def idempotent_pair_from_json(obj: dict) -> tuple[complex, complex]:
     if "z1" in obj and "z2" in obj:
         return idempotent_decompose(_pair_to_complex(obj["z1"]), _pair_to_complex(obj["z2"]))
     raise ValueError("bicomplex JSON needs keys b1/b2 or z1/z2")
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where the modulus lies beyond the float range and
+    abs() raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _pair_to_complex(v) -> complex:

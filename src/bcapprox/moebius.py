@@ -12,26 +12,22 @@ which is what produces the four C1/C2 zero patterns:
     C1 != 0, C2 != 0 both slots have poles; the pole pair maps to inf/inf
                      and inf/inf maps to (A1/C1, A2/C2)
 
-Pole bookkeeping is floating-point aware: a slot denominator smaller than
-1e-13 relative to |C||beta| + |D| is treated as the pole and the slot value
-becomes the point at infinity.  Where a component of beta, C, D, A beta + B
-or C beta + D reaches half the float range, sizes are measured by the larger
-component, and a beta larger than 1 is divided out: the slot evaluates
-(A + B/beta)/(C + D/beta), with the pole snap scaled to match.  A finite
-beta whose slot quotient still overflows, inside the division or in its
-value, is a DomainError, not the point at infinity.
+Each slot value is exact up to one rounding: the components of A, B, C, D
+and beta are read as integers in one common power-of-two unit, A beta + B
+and C beta + D are formed exactly, and each part of the quotient is rounded
+once.  A slot denominator no larger than 1e-13 (|C beta| + |D|), decided
+exactly, is the pole: the slot value becomes the point at infinity.  A
+finite beta whose value lies beyond the float range is a DomainError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .core import INF, Bicomplex, ExtendedBicomplex, _slot_is_inf
 from .errors import DegenerateMapError, DomainError
 
 _POLE_SNAP = 1e-13
-_HALF_FLOAT_RANGE = 2.0**1023
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,18 @@ class MoebiusMap:
     det: Bicomplex = field(init=False)
 
     def __post_init__(self):
+        for name, z in zip("ABCD", (self.a, self.b, self.c, self.d)):
+            if _slot_is_inf(z.beta1) or _slot_is_inf(z.beta2):
+                raise DomainError(f"coefficient {name} = {z} is not finite")
         det = self.a * self.d - self.b * self.c
-        # an exact zero test: abs() of a slot beyond half the range overflows
-        if det.beta1 == 0 or det.beta2 == 0:
-            raise DegenerateMapError(
-                f"determinant {det} lies in the null cone; the slot maps are "
-                "not both invertible"
-            )
+        for slot in (1, 2):
+            (a, b, c, d), _ = _gaussians(*self.slot_coeffs(slot))
+            # an exact zero test: the float determinant can overflow to NaN
+            if _mul(a, d) == _mul(b, c):
+                raise DegenerateMapError(
+                    f"determinant {det} lies in the null cone; the slot maps are "
+                    "not both invertible"
+                )
         object.__setattr__(self, "det", det)
 
     @property
@@ -83,48 +84,52 @@ def moebius_new(a: Bicomplex, b: Bicomplex, c: Bicomplex, d: Bicomplex) -> Moebi
     return MoebiusMap(a, b, c, d)
 
 
-def _mag(z: complex) -> float:
-    """The larger component of z in absolute value; unlike abs(), it never
-    overflows."""
-    return max(abs(z.real), abs(z.imag))
+def _gaussians(*zs: complex) -> tuple[list[tuple[int, int]], int]:
+    """Each finite z as a pair of integers in one common unit 2**-k, and the
+    integer that stands for 1: every finite double is p / q, q a power of 2."""
+    ratios = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
+    one = max(q for _, q in ratios)
+    ints = [p * (one // q) for p, q in ratios]
+    return list(zip(ints[::2], ints[1::2])), one
 
 
-def _below_half_range(z: complex) -> bool:
-    return abs(z.real) < _HALF_FLOAT_RANGE and abs(z.imag) < _HALF_FLOAT_RANGE
+def _mul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
 
 
-def _quotient(num: complex, den: complex, beta: complex) -> complex:
-    """num / den, or a DomainError where the division overflows.  Python
-    divides by Smith's method, whose denominator hi + lo * (lo / hi) in the
-    parts of den overflows near the top of the float range and then gives
-    NaN or a wrong 0; an overflowing numerator or quotient gives inf."""
-    value = num / den
-    hi, lo = max(abs(den.real), abs(den.imag)), min(abs(den.real), abs(den.imag))
-    if _slot_is_inf(value) or math.isinf(hi + lo * (lo / hi)):
+def _norm2(z: tuple[int, int]) -> int:
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _at_pole(den: tuple[int, int], cb2: int, d2: int) -> bool:
+    """|den| <= _POLE_SNAP (|cb| + |d|), squared twice to stay exact: with the
+    snap p / q it reads q^2 |den|^2 - p^2 (cb2 + d2) <= 2 p^2 sqrt(cb2 d2)."""
+    p, q = _POLE_SNAP.as_integer_ratio()
+    excess = q * q * _norm2(den) - p * p * (cb2 + d2)
+    return excess <= 0 or excess * excess <= 4 * p**4 * cb2 * d2
+
+
+def _quotient(num: tuple[int, int], den: tuple[int, int], beta: complex) -> complex:
+    """num / den = num conj(den) / |den|^2, each part rounded once (int / int
+    is correctly rounded), or a DomainError beyond the float range."""
+    norm = _norm2(den)
+    try:
+        return complex((num[0] * den[0] + num[1] * den[1]) / norm,
+                       (num[1] * den[0] - num[0] * den[1]) / norm)
+    except OverflowError:
         raise DomainError(f"evaluating the map's slot at {beta} overflows the float range")
-    return value
 
 
 def _apply_slot(a: complex, b: complex, c: complex, d: complex, beta: complex) -> complex:
     if _slot_is_inf(beta):
         # inf -> A/C when the slot truly is fractional, else stays at inf.
-        return _quotient(a, c, beta) if c != 0 else INF
-    if c == 0:
-        # affine slot; d != 0 is guaranteed by the determinant check
-        return _quotient(a * beta + b, d, beta)
-    num, den = a * beta + b, c * beta + d
-    if all(map(_below_half_range, (beta, c, d, num, den))):
-        if abs(den) <= _POLE_SNAP * (abs(c) * abs(beta) + abs(d)):
-            return INF
-        return _quotient(num, den, beta)
-    # past half the float range abs() can raise OverflowError and the direct
-    # products overflow: divide through by a large beta, and measure sizes by
-    # _mag, each term scaled before the sum
-    if _mag(beta) > 1:
-        num, den, cb, db = a + b / beta, c + d / beta, _mag(c), _mag(d / beta)
-    else:
-        cb, db = _mag(c) * _mag(beta), _mag(d)
-    if _mag(den) <= _POLE_SNAP * cb + _POLE_SNAP * db:
+        return _quotient(*_gaussians(a, c)[0], beta) if c != 0 else INF
+    (a, b, c, d, beta), one = _gaussians(a, b, c, d, beta)
+    # both sums in the unit squared; d != 0 where c = 0, so that slot never snaps
+    ab, cb = _mul(a, beta), _mul(c, beta)
+    num = (ab[0] + b[0] * one, ab[1] + b[1] * one)
+    den = (cb[0] + d[0] * one, cb[1] + d[1] * one)
+    if _at_pole(den, _norm2(cb), _norm2(d) * one * one):
         return INF
     return _quotient(num, den, beta)
 

@@ -381,6 +381,8 @@ def bieberbach_check(f: TruncatedSeries) -> BieberbachResult:
         raise ValueError("second-coefficient check applies to normalized power series")
     a2 = Bicomplex(*f.slots[:, 2]) if f.order >= 2 else Bicomplex.from_scalar(0)
     value = a2.norm_k()
+    if np.isinf(value.max_component()):
+        raise DomainError(f"|A_2|_k = {value.as_tuple()} lies beyond the float range")
     holds = value.leq(Hyperbolic(2.0, 2.0))
     g = sqrt_transform(f)
     h = inversion_transform(g)

@@ -41,13 +41,18 @@ def child_env(env_extra=None):
 
 
 def run_cli(args, cwd, env_extra=None):
-    return subprocess.run(
+    """Run the CLI in a child process; every run keeps the exit contract:
+    0, 1 or 2, and never a traceback."""
+    r = subprocess.run(
         [sys.executable, "-m", "bcapprox", *args],
         cwd=cwd,
         env=child_env(env_extra),
         capture_output=True,
         text=True,
     )
+    assert r.returncode in (0, 1, 2), r.stderr
+    assert "Traceback" not in r.stderr, r.stderr
+    return r
 
 
 def test_child_imports_package_under_test(tmp_path):
@@ -590,19 +595,43 @@ def test_eval_moebius_huge_point_finite(workdir):
     assert value["b2"] == [0.0, 0.0]
 
 
-def test_eval_moebius_nan_image_exit2(workdir):
-    # A = C = 1e308(1 + i): the slot quotient is NaN with or without beta
-    # divided out, which must not be reported as the point at infinity
+def test_eval_moebius_huge_coefficients_and_point_finite(workdir):
+    # A = C = 1e308(1 + i) at 1e308: A beta and C beta + 1 overflow as floats,
+    # the exact quotient is ~1
     huge = Bicomplex.from_scalar(1e308 + 1e308j).to_json()
     one, zero = Bicomplex.from_scalar(1).to_json(), Bicomplex.from_scalar(0).to_json()
     jsonio.dump_path({"A": huge, "B": zero, "C": huge, "D": one}, workdir / "huge.json")
     at = '{"b1": [1e308, 0], "b2": [0, 0]}'
     r = run_cli(["eval", "--moebius", "huge.json", "--at", at], workdir)
+    assert r.returncode == 0, r.stderr
+    value = json.loads(r.stdout)["value"]
+    assert abs(complex(*value["b1"]) - 1) <= 1e-12
+    assert value["b2"] == [0.0, 0.0]
+
+
+def test_eval_moebius_degenerate_past_float_range_exit2(workdir):
+    # A = B = C = D = 1e200 in slot 1: AD - BC is exactly 0 there, though
+    # its float value is inf - inf = NaN
+    big, one = {"b1": [1e200, 0], "b2": [1, 0]}, {"b1": [1e200, 0], "b2": [0, 0]}
+    jsonio.dump_path({"A": big, "B": one, "C": big, "D": big}, workdir / "degenerate.json")
+    r = run_cli(["eval", "--moebius", "degenerate.json", "--at", "0.9"], workdir)
     assert r.returncode == 2
-    assert r.stdout == ""
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input" and "null cone" in payload["detail"]
+
+
+@pytest.mark.parametrize("bad", ["1e999", "-1e999", "NaN"])
+def test_eval_moebius_non_finite_coefficient_exit2(workdir, bad):
+    text = (
+        f'{{"A": {{"b1": [{bad}, 0], "b2": [1, 0]}}, "B": {{"b1": [0, 0], "b2": [0, 0]}},'
+        ' "C": {"b1": [0, 0], "b2": [0, 0]}, "D": {"b1": [1, 0], "b2": [1, 0]}}'
+    )
+    (workdir / "bad_coeff.json").write_text(text, encoding="ascii")
+    r = run_cli(["eval", "--moebius", "bad_coeff.json", "--at", "0.5"], workdir)
+    assert r.returncode == 2
     payload = json.loads(r.stderr)
     assert payload["error"] == "input"
-    assert payload["detail"].startswith(f"value at --at point {at} is undefined")
+    assert payload["detail"].startswith("coefficient A = ") and "is not finite" in payload["detail"]
 
 
 def test_eval_moebius_huge_denominator_coefficient(workdir):
@@ -641,6 +670,27 @@ def test_eval_laurent_null_cone_exit1(workdir):
     )
     assert r.returncode == 1
     assert json.loads(r.stderr)["error"] == "null-cone"
+
+
+def test_eval_laurent_past_abs_range(workdir):
+    # |beta1| overflows abs() in the null-cone test; the value is finite
+    jsonio.dump_path(laurent_series([1, 0, 0.5]).to_json(), workdir / "z_half_invz.json")
+    at = '{"b1": [1.5e308, 1.5e308], "b2": [1, 0]}'
+    r = run_cli(["eval", "--series", "z_half_invz.json", "--at", at], workdir)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["value"] == {"b1": [1.5e308, 1.5e308], "b2": [1.5, 0.0]}
+
+
+def test_verify_bieberbach_past_abs_range_exit2(workdir):
+    # |A_2| overflows abs() in slot 1: an input error with a payload
+    a2 = Bicomplex(1.5e308 + 1.5e308j, 0.5)
+    jsonio.dump_path(power_series([0, 1, a2]).to_json(), workdir / "a2_huge.json")
+    r = run_cli(["verify", "--series", "a2_huge.json", "--bieberbach"], workdir)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    payload = json.loads(r.stderr)
+    assert payload["error"] == "input"
+    assert payload["detail"].startswith("|A_2|_k = (inf, 0.5) lies beyond the float range")
 
 
 def test_eval_koebe_at_half(workdir):

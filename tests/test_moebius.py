@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -171,6 +173,15 @@ def test_pole_snap_for_inexact_ratio():
     assert v.kind() == "inf/inf"
 
 
+@pytest.mark.parametrize("gap, snaps", [(1.5e-13, True), (1.99e-13, True), (2.01e-13, False)])
+def test_pole_snap_threshold_is_the_sum_of_moduli(gap, snaps):
+    # z/(z + 1) at -1 + gap: |den| ~ gap against 1e-13 (|C beta| + |D|) ~ 2e-13,
+    # beyond the 1.41e-13 a rule on sqrt(|C beta|^2 + |D|^2) would give
+    m = _mk(1, 1, 0, 0, 1, 1, 1, 1)
+    v = moebius_apply(m, Bicomplex(-1 + gap, -1 + gap))
+    assert v.kind() == ("inf/inf" if snaps else "finite/finite")
+
+
 def test_huge_point_against_reference():
     # (a beta + b)/(c beta + d) overflows at these points; the reference takes
     # the same quotient with beta, b and d scaled down by an exact power of two
@@ -198,13 +209,25 @@ def test_determinant_past_abs_range_is_valid():
     assert v.c1 == pytest.approx(0.9, rel=1e-15)
 
 
-def test_division_overflow_is_named_not_zero():
+def test_division_past_smith_range_is_exact():
     # the slot-1 denominator at 0.9 is 1.35e308(1 + i): Python's complex
     # division returns 0 there, though the value is 0.45(1 - i)
     assert (1.35e308 * 0.9) / ((1.5e308 + 1.5e308j) * 0.9 + 1) == 0
     m = moebius_new(Bicomplex(1.35e308, 1), ZERO, Bicomplex(1.5e308 + 1.5e308j, 0), ONE)
-    with pytest.raises(DomainError, match="overflows the float range"):
-        moebius_apply(m, Bicomplex(0.9, 0.9))
+    got = moebius_apply(m, Bicomplex(0.9, 0.9)).c1
+    with mpmath.workprec(200):
+        beta = mpmath.mpf(0.9)
+        want = complex(mpmath.mpf(1.35e308) * beta / (mpmath.mpc(1.5e308, 1.5e308) * beta + 1))
+    assert abs(want - (0.45 - 0.45j)) <= 1e-15 * abs(want)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_determinant_zero_past_float_range_is_degenerate():
+    # A = B = C = D = 1e200 in slot 1: AD - BC overflows to inf - inf = NaN,
+    # though the slot determinant is exactly 0
+    big = Bicomplex(1e200, 1)
+    with pytest.raises(DegenerateMapError):
+        moebius_new(big, Bicomplex(1e200, 0), big, Bicomplex(1e200, 1))
 
 
 # -- composition and inversion -----------------------------------------------------
@@ -347,20 +370,66 @@ bicomplex_json = st.fixed_dictionaries(
 )
 
 
+# an index past the 16 coefficient components leaves the drawn map finite
+spoil = st.tuples(st.integers(0, 63), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+def exact_slot(a, b, c, d, beta):
+    """The slot value (A beta + B) / (C beta + D) from mpmath at 4400 bits,
+    which hold A beta + B exactly: a complex, None at a snapped pole, or
+    "overflow" where a part lies beyond the float range.  Run under
+    mpmath.workprec(4400)."""
+    a, b, c, d, beta = (mpmath.mpc(complex(*z)) for z in (a, b, c, d, beta))
+    num, den = a * beta + b, c * beta + d
+    if abs(den) <= mpmath.mpf(1e-13) * (abs(c * beta) + abs(d)):
+        return None
+    value = num / den
+    parts = (float(value.real), float(value.imag))
+    return "overflow" if any(math.isinf(x) for x in parts) else complex(*parts)
+
+
 @settings(max_examples=300, deadline=None)
-@given(coeffs=st.tuples(*[bicomplex_json] * 4), at=bicomplex_json)
-def test_eval_moebius_cli_keeps_exit_contract(tmp_path_factory, coeffs, at):
-    # any finite coefficients and point: exit 0, 1 or 2 with a JSON payload,
-    # never an escaped exception, and a printed value is finite or "inf"
+@given(coeffs=st.tuples(*[bicomplex_json] * 4), at=bicomplex_json, spoil=spoil, pole=st.booleans())
+def test_eval_moebius_cli_keeps_exit_contract(tmp_path_factory, coeffs, at, spoil, pole):
+    # any coefficients and finite point: exit 0 or 2 with a JSON payload, never
+    # an escaped exception; a finite printed slot is the exact quotient rounded
+    # once, "inf" is a snapped pole, and exit 2 is a non-finite coefficient, a
+    # degenerate slot or a value beyond the float range
+    maps = [{slot: list(z[slot]) for slot in ("b1", "b2")} for z in coeffs]
+    c, d = (complex(*z["b1"]) for z in coeffs[2:])
+    p = -d / c if c != 0 else complex(math.nan)
+    if pole and math.isfinite(p.real) and math.isfinite(p.imag):
+        # slot 1 at the rounded pole -D1/C1, where the snap decides
+        at = {"b1": [p.real, p.imag], "b2": at["b2"]}
+    index, bad = spoil
+    if index < 16:
+        maps[index // 4][("b1", "b2")[index // 2 % 2]][index % 2] = bad
     path = tmp_path_factory.getbasetemp() / "moebius_drawn.json"
-    path.write_text(json.dumps(dict(zip("ABCD", coeffs))), encoding="utf-8")
+    path.write_text(json.dumps(dict(zip("ABCD", maps))), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(["eval", "--moebius", str(path), "--at", json.dumps(at)])
-    assert rc in (0, 1, 2)
+    assert rc in (0, 2)
     payload = json.loads(out.getvalue() if rc == 0 else err.getvalue())
-    if rc == 0:
-        for slot in payload["value"].values():
-            assert slot == "inf" or all(math.isfinite(x) for x in slot)
-    else:
-        assert payload["error"] in ("input", "null-cone") and payload["detail"]
+    if index < 16:
+        assert rc == 2 and payload["error"] == "input" and "is not finite" in payload["detail"]
+        return
+    with mpmath.workprec(4400):
+        slots = {s: (*(m[s] for m in maps), at[s]) for s in ("b1", "b2")}
+        want = {s: exact_slot(*abcd) for s, abcd in slots.items()}
+        degenerate = any(
+            mpmath.mpc(complex(*a)) * complex(*d) == mpmath.mpc(complex(*b)) * complex(*c)
+            for a, b, c, d, _ in slots.values()
+        )
+    if rc == 2:
+        assert payload["error"] == "input" and payload["detail"]
+        assert degenerate or "overflow" in want.values()
+        return
+    assert not degenerate
+    for s, got in payload["value"].items():
+        if got == "inf":
+            assert want[s] is None
+            continue
+        for x, w in zip(got, (want[s].real, want[s].imag)):
+            # mpmath rounds a subnormal twice, so it may be one unit off there
+            assert x == w or (min(abs(x), abs(w)) < sys.float_info.min and abs(x - w) <= 2**-1074)
