@@ -9,6 +9,7 @@ region is otherwise the caller's assertion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,48 +114,33 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """A node with two operands; a subclass names its JSON op."""
+
     left: Expr
     right: Expr
 
     def evaluate(self, z):
-        return self.left.evaluate(z) + self.right.evaluate(z)
+        # the op is the operator's name: operator.add, operator.sub, operator.mul
+        return getattr(operator, self._op)(self.left.evaluate(z), self.right.evaluate(z))
 
     def declared_poles(self):
         return self.left.declared_poles() + self.right.declared_poles()
 
     def to_json(self):
-        return {"op": "add", "args": [self.left.to_json(), self.right.to_json()]}
+        return {"op": self._op, "args": [self.left.to_json(), self.right.to_json()]}
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def evaluate(self, z):
-        return self.left.evaluate(z) - self.right.evaluate(z)
-
-    def declared_poles(self):
-        return self.left.declared_poles() + self.right.declared_poles()
-
-    def to_json(self):
-        return {"op": "sub", "args": [self.left.to_json(), self.right.to_json()]}
+class Add(_Binary):
+    _op = "add"
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    _op = "sub"
 
-    def evaluate(self, z):
-        return self.left.evaluate(z) * self.right.evaluate(z)
 
-    def declared_poles(self):
-        return self.left.declared_poles() + self.right.declared_poles()
-
-    def to_json(self):
-        return {"op": "mul", "args": [self.left.to_json(), self.right.to_json()]}
+class Mul(_Binary):
+    _op = "mul"
 
 
 @dataclass(frozen=True)

@@ -146,12 +146,19 @@ def moebius_apply(m: MoebiusMap, z: ExtendedBicomplex | Bicomplex) -> ExtendedBi
 
 def moebius_compose(m: MoebiusMap, n: MoebiusMap) -> MoebiusMap:
     """The map z -> m(n(z)); coefficient matrices multiply slot-wise."""
-    return MoebiusMap(
+    coeffs = (
         m.a * n.a + m.b * n.c,
         m.a * n.b + m.b * n.d,
         m.c * n.a + m.d * n.c,
         m.c * n.b + m.d * n.d,
     )
+    for name, z in zip("ABCD", coeffs):
+        for slot, beta in ((1, z.beta1), (2, z.beta2)):
+            if _slot_is_inf(beta):
+                raise DomainError(
+                    f"the composed map's coefficient {name} leaves the float range in slot {slot}"
+                )
+    return MoebiusMap(*coeffs)
 
 
 def moebius_inverse(m: MoebiusMap) -> MoebiusMap:

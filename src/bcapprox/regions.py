@@ -2,9 +2,14 @@
 
 The approximation engine only needs the complement topology of each slot
 region, so the shape vocabulary is closed: disks, annuli, polygons, and
-polygons with polygonal holes.  Bounded complement components ("holes")
-are then known exactly by construction: a disk or polygon has none, an
-annulus has one, a polygon with h holes has h.
+polygons with polygonal holes.  A shape supplies its boundary curves, the
+outer curve first and then one curve per bounded complement component
+("hole").  Every other fact follows from those curves, once, in
+``PlanarRegion``: the number of holes, which hole a point lies in,
+membership in K, the centre and scale of the basis, and each hole's anchor,
+the centre of its curve.  A shape is refused when it is built, before any
+numpy arithmetic, if a coordinate or size is not finite or lies beyond
++-1e150, or if a circle's radius is below the float resolution at its centre.
 
 A product compact K = K1*e1 + K2*e2 is classified by which slots have
 holes; the four patterns decide polynomial versus rational approximants
@@ -32,10 +37,6 @@ from .errors import DomainError, GeometryError
 _MIN_PER_CURVE = 8
 
 
-def _as_complex_array(pts) -> np.ndarray:
-    return np.asarray(pts, dtype=complex)
-
-
 def _points_in_polygon(pts: np.ndarray, verts: tuple[complex, ...]) -> np.ndarray:
     """Even-odd membership test, vectorized over points."""
     x = pts.real
@@ -53,31 +54,48 @@ def _points_in_polygon(pts: np.ndarray, verts: tuple[complex, ...]) -> np.ndarra
 
 
 def _polygon_area(verts: tuple[complex, ...]) -> float:
-    acc = 0.0
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        acc += a.real * b.imag - b.real * a.imag
-    return 0.5 * acc
+    edges = zip(verts, verts[1:] + verts[:1])
+    return 0.5 * sum(a.real * b.imag - b.real * a.imag for a, b in edges)
+
+
+def _require_finite(shape: str, *values: complex) -> None:
+    """The finiteness rule: every coordinate and size lies within +-1e150,
+    so squared distances on the shape, and its boundary length times a
+    sample count, stay finite."""
+    for x in (part for v in values for part in (v.real, v.imag)):
+        if not abs(x) <= 1e150:
+            raise GeometryError(f"{shape} coordinate or size {x} is not finite or beyond +-1e150")
+
+
+def _require_resolved(shape: str, center: complex, radius: float) -> None:
+    # four float spacings keep every sample off the centre, a hole's anchor
+    if radius < 4 * math.ulp(max(abs(center.real), abs(center.imag))):
+        raise GeometryError(f"{shape} radius {radius} is below the float resolution at {center}")
 
 
 class _Curve:
-    """A closed boundary curve parametrized proportionally to arclength,
-    with the exact distance from a point to it."""
+    """A closed boundary curve parametrized proportionally to arclength, with
+    the exact distance from a point to it, a centre and length scale, and
+    ``inside(points, closed)``: the points it encloses, itself if closed."""
 
-    def __init__(self, length: float, point_at, distance):
+    def __init__(self, length: float, point_at, distance, center: complex, scale: float, inside):
         self.length = length
         self.point_at = point_at  # t in [0, 1) -> complex
         self.distance = distance  # complex p -> float
+        self.center = center
+        self.scale = scale
+        self.inside = inside
 
 
 def _circle_curve(center: complex, radius: float) -> _Curve:
-    return _Curve(
-        2 * math.pi * radius,
-        lambda t: center + radius * np.exp(2j * math.pi * np.asarray(t)),
-        lambda p: abs(abs(p - center) - radius),
-    )
+    def inside(pts, closed):
+        # 1e-12 relative slack: a closed disk grows, an open one shrinks
+        d = np.abs(pts - center)
+        return d <= radius * (1 + 1e-12) if closed else d < radius * (1 - 1e-12)
+
+    point_at = lambda t: center + radius * np.exp(2j * math.pi * np.asarray(t))
+    distance = lambda p: abs(abs(p - center) - radius)
+    return _Curve(2 * math.pi * radius, point_at, distance, center, radius, inside)
 
 
 def _polyline_curve(verts: tuple[complex, ...]) -> _Curve:
@@ -100,36 +118,50 @@ def _polyline_curve(verts: tuple[complex, ...]) -> _Curve:
         s = np.clip(s, 0.0, 1.0)
         return float(np.min(np.abs(p - (a + s * ab))))
 
-    return _Curve(total, point_at, distance)
+    c = sum(verts) / len(verts)
+    s = max(abs(v - c) for v in verts)
+    # even-odd membership, whether or not the curve itself counts
+    return _Curve(total, point_at, distance, c, s, lambda pts, closed: _points_in_polygon(pts, verts))
 
 
 class PlanarRegion:
-    """Base class; concrete shapes implement topology, membership and
-    boundary parametrization."""
+    """Base class.  A shape supplies its boundary curves, the outer curve
+    first and then one curve per hole; every other fact about the region
+    follows from them here."""
+
+    def boundary_curves(self) -> list[_Curve]:
+        raise NotImplementedError
 
     def bounded_holes(self) -> int:
-        raise NotImplementedError
+        return len(self.boundary_curves()) - 1
 
     def complement_components(self) -> int:
         """Components of the complement, counting the unbounded one."""
         return self.bounded_holes() + 1
 
-    def boundary_curves(self) -> list[_Curve]:
-        raise NotImplementedError
-
     def contains(self, pts) -> np.ndarray:
-        raise NotImplementedError
+        """Membership in K: inside the closed outer curve and in no open hole."""
+        pts = np.asarray(pts, dtype=complex)
+        outer, *holes = self.boundary_curves()
+        inside = outer.inside(pts, True)
+        for hole in holes:
+            inside &= ~hole.inside(pts, False)
+        return inside
 
     def center_scale(self) -> tuple[complex, float]:
-        """A centering point and length scale for basis normalization."""
-        raise NotImplementedError
+        """The outer curve's centre and length scale, for basis normalization."""
+        outer = self.boundary_curves()[0]
+        return (outer.center, outer.scale)
 
     def hole_anchor_points(self) -> list[complex]:
-        """One representative point per bounded complement component."""
-        return []
+        """One point per bounded complement component: its curve's centre."""
+        return [hole.center for hole in self.boundary_curves()[1:]]
 
     def hole_index(self, p: complex) -> int | None:
         """Which bounded complement component contains p, if any."""
+        for i, hole in enumerate(self.boundary_curves()[1:]):
+            if hole.inside(np.asarray([p], dtype=complex), False)[0]:
+                return i
         return None
 
     def boundary_distance(self, p: complex) -> float:
@@ -167,20 +199,13 @@ class Disk(PlanarRegion):
     radius: float
 
     def __post_init__(self):
+        _require_finite("disk", self.center, self.radius)
         if not self.radius > 0:
             raise GeometryError(f"disk radius must be positive, got {self.radius}")
-
-    def bounded_holes(self) -> int:
-        return 0
+        _require_resolved("disk", self.center, self.radius)
 
     def boundary_curves(self):
         return [_circle_curve(self.center, self.radius)]
-
-    def contains(self, pts):
-        return np.abs(_as_complex_array(pts) - self.center) <= self.radius * (1 + 1e-12)
-
-    def center_scale(self):
-        return (self.center, self.radius)
 
     def to_json(self):
         return {"shape": "disk", "center": _pair_json(self.center), "radius": self.radius}
@@ -193,32 +218,18 @@ class Annulus(PlanarRegion):
     r_out: float
 
     def __post_init__(self):
+        _require_finite("annulus", self.center, self.r_in, self.r_out)
         if not 0 < self.r_in < self.r_out:
             raise GeometryError(
                 f"annulus needs 0 < r_in < r_out, got ({self.r_in}, {self.r_out})"
             )
-
-    def bounded_holes(self) -> int:
-        return 1
+        _require_resolved("annulus", self.center, self.r_in)
 
     def boundary_curves(self):
         return [
             _circle_curve(self.center, self.r_out),
             _circle_curve(self.center, self.r_in),
         ]
-
-    def contains(self, pts):
-        d = np.abs(_as_complex_array(pts) - self.center)
-        return (d >= self.r_in * (1 - 1e-12)) & (d <= self.r_out * (1 + 1e-12))
-
-    def center_scale(self):
-        return (self.center, self.r_out)
-
-    def hole_anchor_points(self):
-        return [self.center]
-
-    def hole_index(self, p):
-        return 0 if abs(p - self.center) < self.r_in else None
 
     def to_json(self):
         return {
@@ -242,21 +253,11 @@ class Polygon(PlanarRegion):
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(complex(v) for v in self.vertices))
+        _require_finite("polygon", *self.vertices)
         _validate_polygon(self.vertices, "polygon")
-
-    def bounded_holes(self) -> int:
-        return 0
 
     def boundary_curves(self):
         return [_polyline_curve(self.vertices)]
-
-    def contains(self, pts):
-        return _points_in_polygon(_as_complex_array(pts), self.vertices)
-
-    def center_scale(self):
-        c = sum(self.vertices) / len(self.vertices)
-        s = max(abs(v - c) for v in self.vertices)
-        return (c, s)
 
     def to_json(self):
         return {"shape": "polygon", "vertices": [_pair_json(v) for v in self.vertices]}
@@ -272,6 +273,7 @@ class PolygonWithHoles(PlanarRegion):
         object.__setattr__(
             self, "holes", tuple(tuple(complex(v) for v in h) for h in self.holes)
         )
+        _require_finite("polygon-with-holes", *self.outer, *(v for h in self.holes for v in h))
         _validate_polygon(self.outer, "outer boundary")
         for i, hole in enumerate(self.holes):
             _validate_polygon(hole, f"hole {i}")
@@ -279,33 +281,8 @@ class PolygonWithHoles(PlanarRegion):
             if not inside.all():
                 raise GeometryError(f"hole {i} is not strictly inside the outer boundary")
 
-    def bounded_holes(self) -> int:
-        return len(self.holes)
-
     def boundary_curves(self):
         return [_polyline_curve(self.outer)] + [_polyline_curve(h) for h in self.holes]
-
-    def contains(self, pts):
-        pts = _as_complex_array(pts)
-        inside = _points_in_polygon(pts, self.outer)
-        for hole in self.holes:
-            inside &= ~_points_in_polygon(pts, hole)
-        return inside
-
-    def center_scale(self):
-        c = sum(self.outer) / len(self.outer)
-        s = max(abs(v - c) for v in self.outer)
-        return (c, s)
-
-    def hole_anchor_points(self):
-        return [sum(h) / len(h) for h in self.holes]
-
-    def hole_index(self, p):
-        arr = np.asarray([p], dtype=complex)
-        for i, hole in enumerate(self.holes):
-            if _points_in_polygon(arr, hole)[0]:
-                return i
-        return None
 
     def to_json(self):
         return {

@@ -322,7 +322,13 @@ def gronwall_area_sum(g: TruncatedSeries) -> Hyperbolic:
     if g.kind != KIND_LAURENT:
         raise ValueError("area sum is defined for exterior series")
     n = np.arange(1, g.order + 1)
-    s1, s2 = np.sum(n * np.abs(g.slots[:, 2:]) ** 2, axis=1)
+    # every term is >= 0, so an overflow means the sum itself is beyond range
+    with np.errstate(over="ignore"):
+        s1, s2 = np.sum(n * np.abs(g.slots[:, 2:]) ** 2, axis=1)
+    if not np.isfinite([s1, s2]).all():
+        raise DomainError(
+            f"area sum sum_n n |B_n|_k^2 = {(float(s1), float(s2))} lies beyond the float range"
+        )
     return Hyperbolic(s1, s2)
 
 
@@ -339,8 +345,8 @@ def area_contour_estimate(g: TruncatedSeries, r: float, nsamples: int) -> Hyperb
     """
     if g.kind != KIND_LAURENT:
         raise ValueError("contour area is defined for exterior series")
-    if r <= 1:
-        raise DomainError(f"sampling radius must exceed 1, got {r}")
+    if not 1 < r < np.inf:
+        raise DomainError(f"sampling radius must be finite and exceed 1, got {r}")
     if nsamples < max(4 * g.order, 4):
         raise DomainError(
             f"need at least {max(4 * g.order, 4)} samples for order {g.order}"
@@ -353,7 +359,12 @@ def area_contour_estimate(g: TruncatedSeries, r: float, nsamples: int) -> Hyperb
     # dw = i z w'(z) = i (B_-1 z - sum_n n B_n z^-n)
     tail = np.arange(g.order + 1) * c[:, 1:]
     dw = 1j * (lead - _on_circle(tail, r, nsamples, reciprocal=True))
-    a1, a2 = 0.5 * np.mean(np.imag(np.conj(w) * dw), axis=1) * 2 * np.pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1, a2 = 0.5 * np.mean(np.imag(np.conj(w) * dw), axis=1) * 2 * np.pi
+    if not np.isfinite([a1, a2]).all():
+        raise DomainError(
+            f"contour area at radius {r} = {(float(a1), float(a2))} lies beyond the float range"
+        )
     return Hyperbolic(a1, a2)
 
 

@@ -1,14 +1,21 @@
 """CLI contract: exit codes, report files, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcapprox
 from bcapprox import (
@@ -29,6 +36,7 @@ from bcapprox import (
     sqrt_transform,
     var,
 )
+from bcapprox import cli
 from bcapprox.funcspec import Const, Div, Var
 
 
@@ -433,6 +441,105 @@ def test_approx_pole_on_hole_boundary_exit2(workdir, location):
     assert not (workdir / "rep.json").exists()
 
 
+# Before the finiteness rule each of these reached the fit, and ended in numpy
+# warnings and a message about NaN, a pole or the slot function, or in a
+# traceback.
+_UNIT_DISK = '{"shape": "disk", "center": [0, 0], "radius": 1}'
+_NON_FINITE_REGIONS = {
+    "vertex-1e400": ("polygon", '{"shape": "polygon", "vertices": [[0, 0], [1e400, 0], [0, 1]]}'),
+    "vertices-1e308": (
+        "polygon",
+        '{"shape": "polygon", "vertices": [[-1e308, 0], [1e308, 0], [0, 1e308]]}',
+    ),
+    "disk-radius-1e400": ("disk", '{"shape": "disk", "center": [0, 0], "radius": 1e400}'),
+    "disk-radius-1e308": ("disk", '{"shape": "disk", "center": [0, 0], "radius": 1e308}'),
+    "annulus-r-out-1e400": (
+        "annulus",
+        '{"shape": "annulus", "center": [0, 0], "r_in": 1, "r_out": 1e400}',
+    ),
+    "disk-center-1e400": ("disk", '{"shape": "disk", "center": [1e400, 0], "radius": 1}'),
+}
+_WARNINGS_ENV = {"warnings-error": None, "warnings-default": {"PYTHONWARNINGS": ""}}
+
+
+@pytest.mark.parametrize("env", _WARNINGS_ENV)
+@pytest.mark.parametrize("case", _NON_FINITE_REGIONS)
+def test_approx_non_finite_region_exit2(workdir, case, env):
+    shape, k1 = _NON_FINITE_REGIONS[case]
+    (workdir / "k_bad.json").write_text(f'{{"k1": {k1}, "k2": {_UNIT_DISK}}}', encoding="ascii")
+    jsonio.dump_path(FunctionSpec(exp(var()), exp(var())).to_json(), workdir / "f_exp.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_exp.json", "--region", "k_bad.json",
+            "--eps", "1e-8", "--out", "rep.json",
+        ],
+        workdir,
+        _WARNINGS_ENV[env],
+    )
+    assert r.returncode == 2
+    payload = json.loads(r.stderr)  # the payload is all there is on stderr
+    assert payload["error"] == "input"
+    assert payload["detail"].startswith(f"{shape} coordinate or size ")
+    assert not (workdir / "rep.json").exists()
+
+
+_FUZZ_REGIONS = [
+    {"k1": Annulus(0, 1.0, 2.0).to_json(), "k2": Disk(0, 1.0).to_json()},
+    {
+        "k1": {"shape": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+        "k2": {
+            "shape": "polygon-with-holes",
+            "outer": [[-1, -1], [1, -1], [1, 1], [-1, 1]],
+            "holes": [[[-0.3, -0.3], [0.3, -0.3], [0, 0.3]]],
+        },
+    },
+]
+
+
+def _number_paths(obj, path=()):
+    """The key path of every number in a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, val in items:
+        if isinstance(val, (dict, list)):
+            yield from _number_paths(val, path + (key,))
+        elif isinstance(val, (int, float)):
+            yield path + (key,)
+
+
+_FUZZ_VALUES = st.one_of(
+    st.floats(1e-300, 1e308),
+    st.floats(-1e308, -1e-300),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_approx_region_fuzz_keeps_exit_contract(tmp_path_factory, data):
+    # one number of a valid region file replaced: the run ends in 0, 1 or 2,
+    # and no exception or warning escapes cli.main
+    region = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_REGIONS)))
+    path = data.draw(st.sampled_from(list(_number_paths(region))))
+    target = region
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(_FUZZ_VALUES)
+    wd = tmp_path_factory.mktemp("fuzz")
+    (wd / "k.json").write_text(json.dumps(region), encoding="ascii")
+    jsonio.dump_path(FunctionSpec(exp(var()), exp(var())).to_json(), wd / "f.json")
+    argv = [
+        "approx", "--function", str(wd / "f.json"), "--region", str(wd / "k.json"),
+        "--eps", "1e-8", "--max-degree", "4", "--out", str(wd / "rep.json"),
+    ]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert json.loads(err.getvalue())["error"] == "input"
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -520,6 +627,30 @@ def test_verify_area_records_contour_samples(workdir):
         trace = json.loads(r.stdout)["trace"]
         assert trace["tail_N"] == 125
         assert trace["contour_nsamples"] == used
+
+
+_OVERFLOWING_SERIES = {
+    "power-bieberbach": (power_series, [0, 1, 0.5, 1e160], ["--bieberbach"]),
+    "power-area": (power_series, [0, 1, 0.5, 1e160], ["--area"]),
+    "power-area-radius": (power_series, [0, 1, 0.5, 1e160], ["--area", "--radius", "1.5"]),
+    "laurent-area-radius": (laurent_series, [1, 0, 0.5, 1e160], ["--area", "--radius", "1.5"]),
+}
+
+
+@pytest.mark.parametrize("env", _WARNINGS_ENV)
+@pytest.mark.parametrize("case", _OVERFLOWING_SERIES)
+def test_verify_area_sum_past_float_range_exit2(workdir, case, env):
+    # the area sum squares |B_n| ~ 1e160; numpy's overflow warning used to
+    # come first, then "non-finite float in report" (or a traceback)
+    build, coeffs, flags = _OVERFLOWING_SERIES[case]
+    jsonio.dump_path(build(coeffs).to_json(), workdir / "huge_tail.json")
+    r = run_cli(["verify", "--series", "huge_tail.json", *flags], workdir, _WARNINGS_ENV[env])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    payload = json.loads(r.stderr)  # the payload is all there is on stderr
+    assert payload["error"] == "input"
+    assert payload["detail"].startswith("area sum sum_n n |B_n|_k^2 = (")
+    assert payload["detail"].endswith(") lies beyond the float range")
 
 
 def test_verify_malformed_series_exit2(workdir):

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from bcapprox import Disk, DomainError, FunctionSpec, exp, var
-from bcapprox.funcspec import Compose, Const, Div, Expr, Pow, Var, check_poles_clear
+from bcapprox.funcspec import (
+    Add,
+    Compose,
+    Const,
+    Div,
+    Expr,
+    Mul,
+    Pow,
+    Sub,
+    Var,
+    check_poles_clear,
+)
 
 
 def test_arithmetic_evaluation():
@@ -13,6 +24,21 @@ def test_arithmetic_evaluation():
     assert np.allclose(e.evaluate(z), (z**2 + 1) * z - 3)
     e2 = exp(var()) / (var() + 2)
     assert np.allclose(e2.evaluate(z), np.exp(z) / (z + 2))
+
+
+def test_binary_nodes_keep_their_operator_op_and_identity():
+    # the three nodes share one implementation; each keeps its own operator,
+    # JSON op, class and equality
+    z = np.array([0.5 + 0.5j, -1j, 2.0])
+    a, b = Var(), Div(Const(1), var() - 3, poles=(3 + 0j,))
+    bz = 1 / (z - 3)
+    for cls, op, want in ((Add, "add", z + bz), (Sub, "sub", z - bz), (Mul, "mul", z * bz)):
+        node = cls(a, b)
+        assert np.array_equal(node.evaluate(z), want)
+        assert node.declared_poles() == (3 + 0j,)
+        assert node.to_json()["op"] == op
+        assert type(Expr.from_json(node.to_json())) is cls
+    assert Add(a, b) != Sub(a, b) and Sub(a, b) != Mul(a, b) and Add(a, b) == Add(a, b)
 
 
 def test_compose_and_negative_power():

@@ -253,6 +253,19 @@ def test_compose_matches_pointwise():
                 assert_ext_close(lhs, rhs, 1e-10)
 
 
+def test_compose_names_a_coefficient_beyond_float_range():
+    # A = 1e200 in slot 1: the composed A is 1e400 there, a coefficient the
+    # caller never wrote, so the error names the composition
+    one, zero = Bicomplex.from_scalar(1), Bicomplex.from_scalar(0)
+    m = moebius_new(Bicomplex(1e200, 1), zero, zero, one)
+    with pytest.raises(
+        DomainError, match="^the composed map's coefficient A leaves the float range in slot 1$"
+    ):
+        moebius_compose(m, m)
+    inv = moebius_inverse(m)  # negates finite coefficients; nothing to overflow
+    assert (inv.a, inv.d) == (one, m.a)
+
+
 def test_compose_associative_at_evaluation():
     rng = np.random.default_rng(15)
     m, n, p = (rand_valid_map(rng) for _ in range(3))

@@ -212,6 +212,78 @@ def test_hole_index_and_anchors():
     assert pwh.hole_index(0.5 + 3.5j) is None
 
 
+def test_region_facts_keep_their_closed_forms():
+    # each fact comes from the boundary curves; the values, and so every
+    # w = (z - c)/s and every report, are the ones each shape stated itself
+    disk = Disk(0.3 - 0.2j, 1.5)
+    assert disk.center_scale() == (0.3 - 0.2j, 1.5)
+    assert (disk.bounded_holes(), disk.hole_anchor_points(), disk.hole_index(0.3)) == (0, [], None)
+
+    ann = Annulus(2 + 1j, 0.5, 3.0)
+    assert ann.center_scale() == (2 + 1j, 3.0)
+    assert (ann.bounded_holes(), ann.hole_anchor_points()) == (1, [2 + 1j])
+    assert ann.hole_index(2.2 + 1j) == 0
+    assert ann.hole_index(2 + 1j + 0.5 * (1 - 1e-11)) == 0
+    assert ann.hole_index(2.7 + 1j) is None and ann.hole_index(9 + 9j) is None
+    # the hole is open with the same 1e-12 slack as contains: a point within
+    # it of the inner circle belongs to K, not to the hole
+    edge = 2 + 1j + 0.5 * (1 - 1e-13)
+    assert ann.hole_index(edge) is None and ann.contains([edge])[0]
+
+    tri = (0.1 + 0.2j, 2.3 + 0.1j, 0.7 + 1.9j)
+    poly = Polygon(tri)
+    c = sum(tri) / len(tri)
+    assert poly.center_scale() == (c, max(abs(v - c) for v in tri))
+    assert (poly.bounded_holes(), poly.hole_anchor_points(), poly.hole_index(c)) == (0, [], None)
+
+    outer, holes = _TWO_HOLES.outer, _TWO_HOLES.holes
+    c = sum(outer) / len(outer)
+    assert _TWO_HOLES.center_scale() == (c, max(abs(v - c) for v in outer))
+    assert _TWO_HOLES.bounded_holes() == 2
+    assert _TWO_HOLES.hole_anchor_points() == [sum(h) / len(h) for h in holes]
+    assert [_TWO_HOLES.hole_index(sum(h) / len(h)) for h in holes] == [0, 1]
+    assert _TWO_HOLES.hole_index(0.5 + 3.5j) is None
+
+
+@pytest.mark.parametrize(
+    "region", [Disk(0.3 - 0.2j, 1.0), Annulus(0.2j, 0.5, 1.0)], ids=["disk", "annulus"]
+)
+def test_circle_membership_keeps_boundary_samples(region):
+    # the 1e-12 relative slack keeps every boundary sample in K
+    assert region.contains(sample_region(region, 500).boundary).all()
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda: Disk(complex(float("inf"), 0), 1.0), "disk"),
+        (lambda: Disk(0, float("nan")), "disk"),
+        (lambda: Disk(0, 1e308), "disk"),
+        (lambda: Annulus(0, 1.0, 1e151), "annulus"),
+        (lambda: Polygon((0j, 1e400 + 0j, 1j)), "polygon"),
+        (lambda: Polygon((-1e308 + 0j, 1e308 + 0j, 1e308j)), "polygon"),
+        (lambda: PolygonWithHoles(SQUARE, ((0.2 + 0.2j, 0.5 + 0.2j, 0.5 + 2e150j),)),
+         "polygon-with-holes"),
+    ],
+    ids=[
+        "disk-center-inf", "disk-radius-nan", "disk-radius-1e308", "annulus-r-out-1e151",
+        "polygon-vertex-1e400", "polygon-vertices-1e308", "hole-vertex-2e150",
+    ],
+)
+def test_non_finite_or_huge_size_is_refused_when_built(build, shape):
+    with pytest.raises(GeometryError, match=f"^{shape} coordinate or size .* beyond"):
+        build()
+
+
+def test_circle_below_float_resolution_is_refused():
+    # at -1e30 a unit circle rounds onto its centre, the hole's anchor
+    with pytest.raises(GeometryError, match="^annulus radius 1.0 is below the float resolution"):
+        Annulus(-1e30 + 0j, 1.0, 2.0)
+    with pytest.raises(GeometryError, match="^disk radius 1e-300 is below the float resolution"):
+        Disk(1 + 0j, 1e-300)
+    assert Disk(0, 1e-300).center_scale() == (0, 1e-300)  # at 0 the spacing is tiny too
+
+
 def test_region_json_roundtrip():
     shapes = [
         Disk(1 + 2j, 0.5),

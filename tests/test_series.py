@@ -347,6 +347,21 @@ def test_area_contour_validation():
         area_contour_estimate(g, 2.0, 2)
 
 
+def test_area_functionals_name_a_value_beyond_float_range():
+    # |B_3|^2 = 1e320 overflows the square; a radius of 1e200 makes the
+    # contour area about pi * 1e400; each used to end as a non-finite report
+    with pytest.raises(DomainError, match=r"^area sum .* = \(inf, inf\) lies beyond the float"):
+        gronwall_area_sum(laurent_series([1, 0, 0.5, 1e160]))
+    with pytest.raises(DomainError, match=r"^contour area at radius 1e\+200 .* beyond the float"):
+        area_contour_estimate(laurent_series([1, 0, 0.5]), 1e200, 64)
+    for r in (math.inf, math.nan):  # no radius to sample at: an input error, not an overflow
+        with pytest.raises(DomainError, match="^sampling radius must be finite and exceed 1"):
+            area_contour_estimate(laurent_series([1, 0, 0.5]), r, 64)
+    # ordinary values keep their bits: the largest tail whose square stays finite
+    big = 1e153
+    assert gronwall_area_sum(laurent_series([1, 0, big])) == Hyperbolic(big**2, big**2)
+
+
 def test_area_contour_matches_reference():
     rng = np.random.default_rng(26)
     coeffs = [Bicomplex.from_scalar(1), Bicomplex.from_scalar(0)]
