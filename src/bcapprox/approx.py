@@ -382,6 +382,28 @@ def fit_polynomial_slot(
     return _escalate(f, region, [], eps, max_degree, n_boundary)
 
 
+def _on_boundary(region: PlanarRegion) -> float:
+    """Distance from the boundary within which a pole counts as on it."""
+    # the even-odd hole test counts some boundary points as inside a hole
+    return 1e-12 * region.center_scale()[1]
+
+
+def _automatic_poles(region: PlanarRegion, slot: int) -> list[complex]:
+    """The hole anchors that stand in for poles nobody gave; a hole too small
+    to hold its anchor off the boundary is named as such."""
+    anchors = region.hole_anchor_points()
+    for i, a in enumerate(anchors):
+        tol = _on_boundary(region)
+        if region.boundary_distance(a) <= tol:
+            size = region.boundary_curves()[1 + i].scale
+            raise PolePlacementError(
+                f"slot {slot}: hole {i} of size {size:g} is too small for an "
+                f"automatic pole (its anchor lies within {tol:g} of the boundary); "
+                f"an empty pole list for k{slot} forces a polynomial fit"
+            )
+    return anchors
+
+
 def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
     holes = region.bounded_holes()
     poles = [(complex(p), int(cap)) for p, cap in poles]
@@ -391,8 +413,7 @@ def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
             f"{len(poles)} pole(s) were prescribed"
         )
     seen: set[int] = set()
-    # the even-odd hole test counts some boundary points as inside a hole
-    on_boundary = 1e-12 * region.center_scale()[1]
+    on_boundary = _on_boundary(region)
     for p, cap in poles:
         if cap < 1:
             raise PolePlacementError(f"pole order cap must be >= 1, got {cap}")
@@ -479,7 +500,8 @@ def approximate(
 
     The complement class picks polynomial or rational slots.  ``poles``
     optionally overrides per slot: a pair whose entries are None (auto:
-    one pole per hole, anchored at hole centers), an explicit list of
+    one pole per hole, anchored at hole centers; a hole too small to hold
+    its anchor off the boundary is refused by name), an explicit list of
     (location, max_order), or an empty list to force a polynomial fit
     regardless of topology.  A pole whose max_order is None, automatic
     poles included, is order-capped at max(1, max_degree).
@@ -501,7 +523,7 @@ def approximate(
         expr = func.slot_expr(slot)
         req = requested[slot - 1]
         if req is None:
-            req = [(a, None) for a in region.hole_anchor_points()]
+            req = [(a, None) for a in _automatic_poles(region, slot)]
         plist = [(complex(p), max(1, max_degree) if cap is None else int(cap)) for p, cap in req]
         try:
             check_poles_clear(expr, region)

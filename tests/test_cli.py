@@ -441,6 +441,25 @@ def test_approx_pole_on_hole_boundary_exit2(workdir, location):
     assert not (workdir / "rep.json").exists()
 
 
+def test_approx_hole_too_small_for_automatic_pole_exit2(workdir):
+    # the automatic anchor of a 1e-30 hole lies within the boundary tolerance;
+    # the message used to blame "pole 0j", which nobody wrote
+    k = ProductCompact(Annulus(0, 1e-30, 1.0), Disk(0, 1.0))
+    jsonio.dump_path(k.to_json(), workdir / "k_tiny.json")
+    jsonio.dump_path(FunctionSpec(exp(var()), exp(var())).to_json(), workdir / "f_exp.json")
+    args = ["approx", "--function", "f_exp.json", "--region", "k_tiny.json", "--eps", "1e-8"]
+    r = run_cli([*args, "--out", "rep.json"], workdir)
+    assert r.returncode == 2
+    detail = json.loads(r.stderr)["detail"]
+    assert detail.startswith("slot 1: hole 0 of size 1e-30 is too small for an automatic pole")
+    assert detail.endswith("an empty pole list for k1 forces a polynomial fit")
+    assert not (workdir / "rep.json").exists()
+    # as the message says, an empty pole list fits a polynomial instead
+    jsonio.dump_path({"k1": [], "k2": []}, workdir / "p_none.json")
+    r = run_cli([*args, "--poles", "p_none.json", "--out", "rep.json"], workdir)
+    assert r.returncode == 0, r.stderr
+
+
 # Before the finiteness rule each of these reached the fit, and ended in numpy
 # warnings and a message about NaN, a pole or the slot function, or in a
 # traceback.
@@ -651,6 +670,66 @@ def test_verify_area_sum_past_float_range_exit2(workdir, case, env):
     assert payload["error"] == "input"
     assert payload["detail"].startswith("area sum sum_n n |B_n|_k^2 = (")
     assert payload["detail"].endswith(") lies beyond the float range")
+
+
+def _two_far_tail_terms():
+    c = [0.0] * 301
+    c[1], c[71], c[76] = 1.0, 1e200, 1e200
+    return c
+
+
+_OVERFLOWING_TRANSFORMS = {
+    "short-area": ([0, 1, 1e200, 1e300, 1e300], "--area"),
+    "short-bieberbach": ([0, 1, 1e200, 1e300, 1e300], "--bieberbach"),
+    "far-area": (_two_far_tail_terms(), "--area"),
+    "far-bieberbach": (_two_far_tail_terms(), "--bieberbach"),
+}
+
+
+@pytest.mark.parametrize("env", _WARNINGS_ENV)
+@pytest.mark.parametrize("case", _OVERFLOWING_TRANSFORMS)
+def test_verify_transform_past_float_range_exit2(workdir, case, env):
+    # the square-root transform leaves the float range before any functional;
+    # numpy's matmul warning (or a traceback) used to come first
+    coeffs, flag = _OVERFLOWING_TRANSFORMS[case]
+    jsonio.dump_path(power_series(coeffs).to_json(), workdir / "huge.json")
+    r = run_cli(["verify", "--series", "huge.json", flag], workdir, _WARNINGS_ENV[env])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    payload = json.loads(r.stderr)  # the payload is all there is on stderr
+    assert payload["error"] == "input"
+    assert payload["detail"].startswith("square-root transform coefficient G_")
+    assert payload["detail"].endswith(" overflows the float range")
+
+
+_TAIL_MAGNITUDES = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.sampled_from([4, 100]),
+    data=st.data(),
+    x=_TAIL_MAGNITUDES,
+    flag=st.sampled_from(["--bieberbach", "--area", "--koebe"]),
+)
+def test_verify_tail_magnitude_keeps_exit_contract(tmp_path_factory, n, data, x, flag):
+    # one tail coefficient of any magnitude: the run ends in 0, 1 or 2, and
+    # no exception or warning escapes cli.main
+    order = data.draw(st.integers(2, n))
+    coeffs = [0.0, 1.0] + [0.5**k for k in range(2, n + 1)]
+    coeffs[order] = Bicomplex(x, 1j * x)
+    path = tmp_path_factory.mktemp("tail") / "s.json"
+    jsonio.dump_path(power_series(coeffs).to_json(), path)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["verify", "--series", str(path), flag])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert json.loads(err.getvalue())["error"] == "input"
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
 
 
 def test_verify_malformed_series_exit2(workdir):

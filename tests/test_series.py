@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import complex_ref as ref
 from bcapprox import (
@@ -29,6 +31,7 @@ from bcapprox import (
     series_eval,
     sqrt_transform,
 )
+from bcapprox.series import _recurrence
 
 
 def rand_power_series(rng, order: int) -> TruncatedSeries:
@@ -197,7 +200,8 @@ def test_sqrt_and_inversion_koebe_closed_form_large():
     # Koebe with a distinct rotation per slot: F = Z/(1 + B Z)^2 has
     # G = Z/(1 + B Z^2), odd coefficients (-B)^k, and H = Z + B/Z, so B_1 = B,
     # every other tail coefficient vanishes and the area sum is |B|_k^2 = 1.
-    # Rounding in the recurrences grows like N^2 eps, about 1e-9 at N = 2048.
+    # Rounding reaches about 1e-9 at N = 2048, with the recurrence alone and
+    # with Newton doubling past order 64 alike.
     n = 2048
     b = np.array([np.exp(0.9j), np.exp(-2.2j)])
     f = koebe_rotation_series(Bicomplex(*b), n)
@@ -253,6 +257,89 @@ def test_transforms_match_mpmath(seed, growing):
         want_h, want_q = _mp_root_and_reciprocal(f.slot(slot))
         assert _rel_err(g.slot(slot)[1::2], want_h) < 1e-12
         assert _rel_err(h.slot(slot)[2::2], want_q[1:]) < 1e-12
+
+
+# Beyond the recurrence's 64 orders Newton doubling on FFT products takes over,
+# with the normwise bound stated in series._root_and_reciprocal.
+
+
+def _newton_bound(h, q):
+    """eps log2(K) ||h||_1^2 ||q||_1^2 per slot, as a (2, 1) column."""
+    h, q = np.asarray(h), np.asarray(q)
+    norms = np.abs(h).sum(axis=-1) ** 2 * np.abs(q).sum(axis=-1) ** 2
+    return (np.finfo(float).eps * math.log2(h.shape[-1]) * norms).reshape(-1, 1)
+
+
+def _decaying_series(rng, n, rho):
+    """A normalized series with |A_k| < rho^k; for rho < 1/2, p = F(w)/w has
+    no zero in the closed unit disk, so h and 1/h stay bounded."""
+    c = np.sqrt(rng.uniform(0, 1, (2, n + 1))) * np.exp(2j * np.pi * rng.uniform(0, 1, (2, n + 1)))
+    c *= rho ** np.arange(n + 1)
+    c[:, 0], c[:, 1] = 0, 1
+    return power_series([Bicomplex(*col) for col in c.T])
+
+
+@pytest.mark.parametrize("case", ["decaying", "koebe"])
+def test_transforms_match_mpmath_past_the_seed(case):
+    # N = 300: the seed's 64 orders, then doublings to 128, 256 and 300
+    n = 300
+    rng = np.random.default_rng(32)
+    if case == "koebe":
+        f = koebe_rotation_series(Bicomplex(np.exp(0.4j), np.exp(-2.9j)), n)
+    else:
+        coeffs = [Bicomplex.from_scalar(0), Bicomplex.from_scalar(1)]
+        for k in range(2, n + 1):
+            re1, im1, re2, im2 = rng.uniform(-1, 1, 4) * 0.6**k
+            coeffs.append(Bicomplex(complex(re1, im1), complex(re2, im2)))
+        f = power_series(coeffs)
+    g = sqrt_transform(f)
+    h = inversion_transform(g)
+    for slot in (1, 2):
+        want_h, want_q = (np.array(x) for x in _mp_root_and_reciprocal(f.slot(slot)))
+        mine_h, mine_q = g.slot(slot)[1::2], h.slot(slot)[0::2]  # q_0 = 1 is H's Z term
+        if case == "decaying":  # Koebe's q_k vanish for k >= 2
+            assert _rel_err(mine_h[:64], want_h[:64]) < 1e-12
+            assert _rel_err(mine_q[1:64], want_q[1:64]) < 1e-12
+        bound = _newton_bound(want_h, want_q)[0, 0]
+        assert np.max(np.abs(mine_h - want_h)) <= bound
+        assert np.max(np.abs(mine_q - want_q)) <= bound
+
+
+_SIZES = st.one_of(st.integers(65, 400), st.sampled_from([128, 129, 256, 257]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=_SIZES, seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["decaying", "koebe"]))
+def test_newton_agrees_with_the_recurrence(n, seed, case):
+    rng = np.random.default_rng(seed)
+    if case == "koebe":
+        b = np.exp(2j * np.pi * rng.uniform(0, 1, 2))
+        f = koebe_rotation_series(Bicomplex(*b), n)
+    else:
+        f = _decaying_series(rng, n, rng.uniform(0.1, 0.45))
+    g = sqrt_transform(f)
+    h = inversion_transform(g)
+    want_h = np.zeros((2, n), dtype=complex)
+    want_h[:, 0] = 1
+    want_q = _recurrence(want_h, f.slots[:, 1:])
+    bound = _newton_bound(want_h, want_q)
+    assert np.array_equal(g.slots[:, 1:128:2], want_h[:, :64])
+    assert np.all(np.abs(g.slots[:, 1::2] - want_h) <= bound)
+    assert np.all(np.abs(h.slots[:, 2::2] - want_q[:, 1:]) <= bound)
+
+
+def test_seed_orders_keep_their_bits_at_large_order():
+    f = _decaying_series(np.random.default_rng(33), 2048, 0.4)
+    g_big, g_small = sqrt_transform(f), sqrt_transform(f.truncated(64))
+    h_big, h_small = inversion_transform(g_big), inversion_transform(g_small)
+    assert np.array_equal(g_big.slots[:, :128], g_small.slots)
+    assert np.array_equal(h_big.slots[:, :127], h_small.slots)
+
+
+def test_inversion_alone_matches_the_fused_pass_at_large_order():
+    f = koebe_rotation_series(Bicomplex(np.exp(1.3j), np.exp(-0.2j)), 1024)
+    g = sqrt_transform(f)
+    assert inversion_transform(power_series(g.coeffs)) == inversion_transform(g)
 
 
 # -- inversion transform ------------------------------------------------------------
