@@ -382,29 +382,14 @@ def fit_polynomial_slot(
     return _escalate(f, region, [], eps, max_degree, n_boundary)
 
 
-def _on_boundary(region: PlanarRegion) -> float:
-    """Distance from the boundary within which a pole counts as on it."""
-    # the even-odd hole test counts some boundary points as inside a hole
-    return 1e-12 * region.center_scale()[1]
+def _validate_poles(
+    region: PlanarRegion, poles, automatic: bool = False
+) -> list[tuple[complex, int]]:
+    """The poles as (location, cap) pairs, checked one per bounded hole.
 
-
-def _automatic_poles(region: PlanarRegion, slot: int) -> list[complex]:
-    """The hole anchors that stand in for poles nobody gave; a hole too small
-    to hold its anchor off the boundary is named as such."""
-    anchors = region.hole_anchor_points()
-    for i, a in enumerate(anchors):
-        tol = _on_boundary(region)
-        if region.boundary_distance(a) <= tol:
-            size = region.boundary_curves()[1 + i].scale
-            raise PolePlacementError(
-                f"slot {slot}: hole {i} of size {size:g} is too small for an "
-                f"automatic pole (its anchor lies within {tol:g} of the boundary); "
-                f"an empty pole list for k{slot} forces a polynomial fit"
-            )
-    return anchors
-
-
-def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
+    ``automatic`` poles are the hole anchors, in hole order, standing in for
+    poles nobody gave: one on the boundary is refused by its hole's size.
+    """
     holes = region.bounded_holes()
     poles = [(complex(p), int(cap)) for p, cap in poles]
     if len(poles) != holes:
@@ -413,11 +398,18 @@ def _validate_poles(region: PlanarRegion, poles) -> list[tuple[complex, int]]:
             f"{len(poles)} pole(s) were prescribed"
         )
     seen: set[int] = set()
-    on_boundary = _on_boundary(region)
-    for p, cap in poles:
+    # the even-odd hole test counts some boundary points as inside a hole
+    on_boundary = 1e-12 * region.center_scale()[1]
+    for i, (p, cap) in enumerate(poles):
         if cap < 1:
             raise PolePlacementError(f"pole order cap must be >= 1, got {cap}")
         if region.boundary_distance(p) <= on_boundary:
+            if automatic:
+                raise PolePlacementError(
+                    f"hole {i} of size {region.boundary_curves()[1 + i].scale:g} is too "
+                    f"small for an automatic pole (its anchor lies within {on_boundary:g} "
+                    "of the boundary); an empty pole list for its slot forces a polynomial fit"
+                )
             raise PolePlacementError(f"pole {p} lies on the region's boundary")
         idx = region.hole_index(p)
         if idx is None:
@@ -440,15 +432,17 @@ def fit_rational_slot(
     max_degree: int,
     *,
     n_boundary: int | None = None,
+    automatic: bool = False,
 ) -> SlotFit:
     """Least-squares fit in {1, w, ..., w^d} + {(z-p_j)^-m} with joint
     degree/order escalation.
 
     poles is a sequence of (location, max_order); there must be exactly one
     pole per bounded complement component, each in its own component.  With
-    no poles this is fit_polynomial_slot.
+    no poles this is fit_polynomial_slot.  ``automatic`` marks the poles as
+    the region's hole anchors, so that a refusal names the hole.
     """
-    poles = _validate_poles(region, poles)
+    poles = _validate_poles(region, poles, automatic)
     return _escalate(f, region, poles, eps, max_degree, n_boundary)
 
 
@@ -522,14 +516,16 @@ def approximate(
         region = compact.region(slot)
         expr = func.slot_expr(slot)
         req = requested[slot - 1]
-        if req is None:
-            req = [(a, None) for a in _automatic_poles(region, slot)]
+        automatic = req is None
+        if automatic:
+            req = [(a, None) for a in region.hole_anchor_points()]
         plist = [(complex(p), max(1, max_degree) if cap is None else int(cap)) for p, cap in req]
         try:
             check_poles_clear(expr, region)
             if plist:
                 fit = fit_rational_slot(
-                    expr, region, plist, eps, max_degree, n_boundary=n_boundary
+                    expr, region, plist, eps, max_degree, n_boundary=n_boundary,
+                    automatic=automatic,
                 )
             else:
                 fit = fit_polynomial_slot(expr, region, eps, max_degree, n_boundary=n_boundary)

@@ -290,6 +290,28 @@ def _product(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.fft.ifft(fa * fb, axis=1)[:, lo:hi]
 
 
+def _growth_scale(h: np.ndarray, q: np.ndarray, m: int) -> np.ndarray | None:
+    """r^k for k < m per slot, shape (2, m), where r is the geometric growth
+    rate that the known orders of h and q (shape (2, n)) show; None when
+    neither slot grows.
+
+    A series grows when the largest modulus in the upper half of its known
+    orders exceeds twice that in the lower half; r is that ratio's root over
+    the halves' distance, the least over the series that grow, and 1 in a
+    slot where neither does.  r^(m-1) stays below 2^1000, so the scale and
+    its reciprocal are finite.
+    """
+    n = h.shape[1]
+    half = n // 2
+    mod = np.abs(np.stack([h, q]))
+    growth = mod[..., half:].max(axis=-1) / mod[..., :half].max(axis=-1)
+    rate = np.where(growth > 2.0, growth, np.inf).min(axis=0)
+    if np.isinf(rate).all():
+        return None
+    rate = np.minimum(rate ** (1.0 / (n - half)), 2.0 ** (1000 / m))
+    return np.where(np.isfinite(rate), rate, 1.0)[:, None] ** np.arange(m)
+
+
 def _require_finite(x: np.ndarray, start: int, what) -> None:
     """Name the first order k >= start at which a slot of x[:, k - start] is
     not finite; ``what(k)`` is that coefficient's name."""
@@ -308,21 +330,25 @@ def _root_and_reciprocal(h: np.ndarray, p: np.ndarray | None = None) -> np.ndarr
     doubles the known length n -> m = min(2n, K), each * one FFT product:
         h[n:m] = (q[:m-n] * (p - h[:n] * h[:n])[n:m])[:m-n] / 2   (p given)
         q[n:m] = -(q[:m-n] * (h[:m] * q[:n])[n:m])[:m-n]
+    When the known orders grow geometrically, a doubling runs on the
+    series rescaled w -> w/r per slot, r their growth rate
+    (:func:`_growth_scale`), and scales the new orders back; when neither
+    slot grows it runs on the series as it is.
     Cost: O(K log K) operations and, past the recurrence's 64 calls,
     O(log K) numpy calls, for both slots together.  Without p the
     same reciprocal steps run on the same h, so q has the same bits either
     way.
 
     Accuracy: orders below 64 carry the recurrence's coefficient-wise
-    error and its exact bits.  Beyond them the error is normwise: in each
-    slot, every coefficient k >= 64 of h and of q lies within
+    error and its exact bits.  Beyond them the FFT products' error is
+    normwise in the rescaled series.  For bounded h and q (no growth) every
+    coefficient k >= 64 of h and of q lies, in each slot, within
     eps * log2(K) * ||h||_1^2 * ||q||_1^2 of the exact one, where eps is
-    the double epsilon and the norms are 1-norms of the slot's row (the
-    tests hold the transforms to this; on Koebe, decaying and growing
-    series up to K = 2048 the error stayed below 4 % of it).  A
+    the double epsilon and the norms are 1-norms of the slot's row; a
     small coefficient far down a decaying tail is then exact only relative
-    to the largest ones, and coefficients that grow geometrically (those
-    of no univalent map do) can lose all relative accuracy.
+    to the largest ones.  Coefficients that grow geometrically, as they do
+    whenever p has a zero inside the unit disk, keep their relative
+    accuracy: the tests hold them to 1e-12 per coefficient up to K = 400.
 
     Overflow: a coefficient beyond the float range is a DomainError naming
     the transform and the first order that is not finite.  Since one FFT
@@ -333,7 +359,7 @@ def _root_and_reciprocal(h: np.ndarray, p: np.ndarray | None = None) -> np.ndarr
     """
     size = h.shape[1]
     n = min(size, _SEED)
-    q = np.empty_like(h)
+    q = np.zeros_like(h)
     root = lambda k: f"square-root transform coefficient G_{2 * k + 1}"
     recip = lambda k: f"inversion transform coefficient B_{2 * k - 1}"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,13 +369,21 @@ def _root_and_reciprocal(h: np.ndarray, p: np.ndarray | None = None) -> np.ndarr
         _require_finite(q[:, :n], 0, recip)
         while n < size:
             m = min(2 * n, size)
+            up = _growth_scale(h[:, :n], q[:, :n], m)
+            hs, qs = (h, q) if up is None else (h[:, :m] / up, q[:, :m] / up)
             if p is not None:
-                hn = h[:, :n]
-                r = p[:, n:m] - _product(hn, hn, n, m)
-                h[:, n:m] = _product(q[:, :m - n], r, 0, m - n) / 2.0
+                ps = p if up is None else p[:, :m] / up
+                hn = hs[:, :n]
+                r = ps[:, n:m] - _product(hn, hn, n, m)
+                hs[:, n:m] = _product(qs[:, :m - n], r, 0, m - n) / 2.0
+                if up is not None:
+                    h[:, n:m] = hs[:, n:m] * up[:, n:m]
+                    hs[:, n:m] = h[:, n:m] / up[:, n:m]  # as the reciprocal alone scales it
                 _require_finite(h[:, n:m], n, root)
-            e = _product(h[:, :m], q[:, :n], n, m)
-            q[:, n:m] = -_product(q[:, :m - n], e, 0, m - n)
+            e = _product(hs[:, :m], qs[:, :n], n, m)
+            qs[:, n:m] = -_product(qs[:, :m - n], e, 0, m - n)
+            if up is not None:
+                q[:, n:m] = qs[:, n:m] * up[:, n:m]
             _require_finite(q[:, n:m], n, recip)
             n = m
     return q

@@ -279,13 +279,18 @@ def _decaying_series(rng, n, rho):
     return power_series([Bicomplex(*col) for col in c.T])
 
 
-@pytest.mark.parametrize("case", ["decaying", "koebe"])
-def test_transforms_match_mpmath_past_the_seed(case):
-    # N = 300: the seed's 64 orders, then doublings to 128, 256 and 300
-    n = 300
+@pytest.mark.parametrize(
+    "case,n", [("decaying", 300), ("koebe", 300), ("growing", 100), ("growing", 300)]
+)
+def test_transforms_match_mpmath_past_the_seed(case, n):
+    # N = 300: the seed's 64 orders, then doublings to 128, 256 and 300.
+    # |A_n|_k <= n makes h and q grow like 2^k (to ~1e88 at N = 300); the
+    # doublings rescale them and keep the recurrence's relative accuracy.
     rng = np.random.default_rng(32)
     if case == "koebe":
         f = koebe_rotation_series(Bicomplex(np.exp(0.4j), np.exp(-2.9j)), n)
+    elif case == "growing":
+        f = rand_power_series(rng, n)
     else:
         coeffs = [Bicomplex.from_scalar(0), Bicomplex.from_scalar(1)]
         for k in range(2, n + 1):
@@ -297,6 +302,10 @@ def test_transforms_match_mpmath_past_the_seed(case):
     for slot in (1, 2):
         want_h, want_q = (np.array(x) for x in _mp_root_and_reciprocal(f.slot(slot)))
         mine_h, mine_q = g.slot(slot)[1::2], h.slot(slot)[0::2]  # q_0 = 1 is H's Z term
+        if case == "growing":
+            assert _rel_err(mine_h, want_h) < 1e-12
+            assert _rel_err(mine_q, want_q) < 1e-12
+            continue
         if case == "decaying":  # Koebe's q_k vanish for k >= 2
             assert _rel_err(mine_h[:64], want_h[:64]) < 1e-12
             assert _rel_err(mine_q[1:64], want_q[1:64]) < 1e-12
@@ -309,12 +318,14 @@ _SIZES = st.one_of(st.integers(65, 400), st.sampled_from([128, 129, 256, 257]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=_SIZES, seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["decaying", "koebe"]))
+@given(n=_SIZES, seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["decaying", "koebe", "growing"]))
 def test_newton_agrees_with_the_recurrence(n, seed, case):
     rng = np.random.default_rng(seed)
     if case == "koebe":
         b = np.exp(2j * np.pi * rng.uniform(0, 1, 2))
         f = koebe_rotation_series(Bicomplex(*b), n)
+    elif case == "growing":
+        f = rand_power_series(rng, n)
     else:
         f = _decaying_series(rng, n, rng.uniform(0.1, 0.45))
     g = sqrt_transform(f)
@@ -322,8 +333,12 @@ def test_newton_agrees_with_the_recurrence(n, seed, case):
     want_h = np.zeros((2, n), dtype=complex)
     want_h[:, 0] = 1
     want_q = _recurrence(want_h, f.slots[:, 1:])
-    bound = _newton_bound(want_h, want_q)
     assert np.array_equal(g.slots[:, 1:128:2], want_h[:, :64])
+    if case == "growing":  # coefficient-wise, as the recurrence itself
+        assert np.all(np.abs(g.slots[:, 1::2] - want_h) <= 1e-12 * np.abs(want_h))
+        assert np.all(np.abs(h.slots[:, 2::2] - want_q[:, 1:]) <= 1e-12 * np.abs(want_q[:, 1:]))
+        return
+    bound = _newton_bound(want_h, want_q)
     assert np.all(np.abs(g.slots[:, 1::2] - want_h) <= bound)
     assert np.all(np.abs(h.slots[:, 2::2] - want_q[:, 1:]) <= bound)
 
@@ -336,8 +351,12 @@ def test_seed_orders_keep_their_bits_at_large_order():
     assert np.array_equal(h_big.slots[:, :127], h_small.slots)
 
 
-def test_inversion_alone_matches_the_fused_pass_at_large_order():
-    f = koebe_rotation_series(Bicomplex(np.exp(1.3j), np.exp(-0.2j)), 1024)
+@pytest.mark.parametrize("case", ["koebe", "growing"])
+def test_inversion_alone_matches_the_fused_pass_at_large_order(case):
+    if case == "koebe":
+        f = koebe_rotation_series(Bicomplex(np.exp(1.3j), np.exp(-0.2j)), 1024)
+    else:  # rescaled doublings; N = 300 keeps 2^k inside the float range
+        f = rand_power_series(np.random.default_rng(34), 300)
     g = sqrt_transform(f)
     assert inversion_transform(power_series(g.coeffs)) == inversion_transform(g)
 
