@@ -308,8 +308,8 @@ def _growth_scale(h: np.ndarray, q: np.ndarray, m: int) -> np.ndarray | None:
     rate = np.where(growth > 2.0, growth, np.inf).min(axis=0)
     if np.isinf(rate).all():
         return None
-    rate = np.minimum(rate ** (1.0 / (n - half)), 2.0 ** (1000 / m))
-    return np.where(np.isfinite(rate), rate, 1.0)[:, None] ** np.arange(m)
+    r = np.where(np.isinf(rate), 1.0, np.minimum(rate ** (1.0 / (n - half)), 2.0 ** (1000 / m)))
+    return r[:, None] ** np.arange(m)
 
 
 def _require_finite(x: np.ndarray, start: int, what) -> None:

@@ -260,7 +260,8 @@ def test_transforms_match_mpmath(seed, growing):
 
 
 # Beyond the recurrence's 64 orders Newton doubling on FFT products takes over,
-# with the normwise bound stated in series._root_and_reciprocal.
+# with the normwise bound stated in series._root_and_reciprocal for bounded
+# series and the recurrence's relative accuracy for growing ones.
 
 
 def _newton_bound(h, q):
@@ -318,14 +319,22 @@ _SIZES = st.one_of(st.integers(65, 400), st.sampled_from([128, 129, 256, 257]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=_SIZES, seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["decaying", "koebe", "growing"]))
+@given(
+    n=_SIZES,
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(["decaying", "koebe", "growing", "mixed"]),
+)
 def test_newton_agrees_with_the_recurrence(n, seed, case):
     rng = np.random.default_rng(seed)
+    grows = [case in ("growing", "mixed"), case == "growing"]  # per slot
     if case == "koebe":
         b = np.exp(2j * np.pi * rng.uniform(0, 1, 2))
         f = koebe_rotation_series(Bicomplex(*b), n)
     elif case == "growing":
         f = rand_power_series(rng, n)
+    elif case == "mixed":  # each slot takes its own path through the doublings
+        rows = rand_power_series(rng, n).slot(1), _decaying_series(rng, n, 0.4).slot(2)
+        f = power_series([Bicomplex(x, y) for x, y in zip(*rows)])
     else:
         f = _decaying_series(rng, n, rng.uniform(0.1, 0.45))
     g = sqrt_transform(f)
@@ -334,13 +343,15 @@ def test_newton_agrees_with_the_recurrence(n, seed, case):
     want_h[:, 0] = 1
     want_q = _recurrence(want_h, f.slots[:, 1:])
     assert np.array_equal(g.slots[:, 1:128:2], want_h[:, :64])
-    if case == "growing":  # coefficient-wise, as the recurrence itself
-        assert np.all(np.abs(g.slots[:, 1::2] - want_h) <= 1e-12 * np.abs(want_h))
-        assert np.all(np.abs(h.slots[:, 2::2] - want_q[:, 1:]) <= 1e-12 * np.abs(want_q[:, 1:]))
-        return
-    bound = _newton_bound(want_h, want_q)
-    assert np.all(np.abs(g.slots[:, 1::2] - want_h) <= bound)
-    assert np.all(np.abs(h.slots[:, 2::2] - want_q[:, 1:]) <= bound)
+    for s in (0, 1):
+        mine_h, mine_q, wh, wq = g.slots[s, 1::2], h.slots[s, 2::2], want_h[s], want_q[s, 1:]
+        if grows[s]:  # coefficient-wise, as the recurrence itself
+            assert np.all(np.abs(mine_h - wh) <= 1e-12 * np.abs(wh))
+            assert np.all(np.abs(mine_q - wq) <= 1e-12 * np.abs(wq))
+        else:
+            bound = _newton_bound(want_h[s], want_q[s])[0, 0]
+            assert np.all(np.abs(mine_h - wh) <= bound)
+            assert np.all(np.abs(mine_q - wq) <= bound)
 
 
 def test_seed_orders_keep_their_bits_at_large_order():
