@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bicomplex, Hyperbolic, _pair_to_complex
+from .core import Bicomplex, Hyperbolic, _pair_to_complex, _read_int
 from .errors import (
     DegreeExceededError,
     DomainError,
@@ -85,7 +85,7 @@ class PoleTerm:
     def from_json(obj: dict) -> PoleTerm:
         return PoleTerm(
             _pair_to_complex(obj["location"]),
-            int(obj["order"]),
+            _read_int(obj["order"], "pole term order"),
             tuple(_pair_to_complex(c) for c in obj["coeffs"]),
         )
 
@@ -206,10 +206,14 @@ class SlotFit:
     samples: dict[str, int]
 
 
+def _evaluate(f, pts: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        return np.asarray(f.evaluate(pts) if isinstance(f, Expr) else f(pts), dtype=complex)
+
+
 def _fvals(f, pts: np.ndarray) -> np.ndarray:
     """Values of f on pts; a non-finite value is an undeclared singularity."""
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f.evaluate(pts) if isinstance(f, Expr) else f(pts), dtype=complex)
+    vals = _evaluate(f, pts)
     bad = pts[~np.isfinite(vals)]
     if len(bad):
         shown = ", ".join(f"{complex(z):.6g}" for z in bad[:3])
@@ -238,6 +242,31 @@ def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: str):
     return h + h2, nrm, v / nrm
 
 
+def _hole_floor(f, hole) -> float:
+    """|integral of f dz| / length over a hole curve, a lower bound on
+    sup |f - p| there for every polynomial p, whose integral vanishes.
+
+    It counts only if the n = 32 and n = 64 contour rules agree to 1e-3
+    relative and the integral stands clear of rounding: above 1e-10 of
+    length * max |f| at the nodes, a hundred times the rounding of a sum of
+    some thousand terms.  Otherwise, f not finite at a node included, the
+    only bound is the trivial one, 0.
+    """
+    with np.errstate(all="ignore"):  # an overflow fails the tests below
+        sums = []
+        for n in (32, 64):
+            nodes, weights = hole.rule(n)
+            vals = _evaluate(f, nodes)
+            if not np.isfinite(vals).all():
+                return 0.0
+            sums.append(weights @ vals)
+        coarse, fine = sums
+        size = hole.length * np.max(np.abs(vals))
+        if abs(fine - coarse) <= 1e-3 * abs(fine) and abs(fine) > 1e-10 * size:
+            return float(abs(fine) / hole.length)
+    return 0.0
+
+
 def _check_budget(eps: float, max_degree: int) -> None:
     """The one rule for a fit's target and degree budget."""
     if not (math.isfinite(eps) and eps > 0):
@@ -254,13 +283,21 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     is exported and accepted when the export meets eps on the validation
     sample, the error it reports; an exhausted budget, or a basis collapse
     after step 0, exports the step with the lowest residual.
+
+    A fit with no poles on a region with holes first asks whether eps can be
+    reached at all.  Every polynomial integrates to 0 around a hole curve, so
+    |integral of f dz| / length there bounds the sup error of every
+    polynomial from below (``_hole_floor``).  When a counted bound exceeds
+    2 eps, the loop runs step 0 only and the slot ends not achieved at that
+    step; its note names the hole and the bound.
     """
     _check_budget(eps, max_degree)
     caps = [cap for _, cap in poles]
     ncols = max_degree + 1 + sum(caps)
     if n_boundary is None:
         n_boundary = max(240, 6 * ncols)
-    lengths = [c.length for c in region.boundary_curves()]
+    curves = region.boundary_curves()
+    lengths = [c.length for c in curves]
     m = sum(_allocate_boundary(lengths, n_boundary))
     mv = sum(_allocate_boundary(lengths, 4 * n_boundary))
     if m < ncols + 1:
@@ -320,8 +357,21 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     trace: list[tuple[int, tuple[int, ...], float]] = []
     best = (math.inf, 0, 0, ())
     k = d = last = 0
+    steps = max(max_degree, max(caps, default=0) - 1) + 1
+    stop = "degree/order budget exhausted"
+    if not poles:
+        # Cauchy: every polynomial integrates to 0 around a hole, so f's
+        # integral bounds sup |f - p| from below for all of them at once
+        floors = [(_hole_floor(f, c), i) for i, c in enumerate(curves[1:])]
+        floor, hole = max(floors, default=(0.0, 0))
+        if floor > 2 * eps:
+            steps = 1
+            stop = (
+                f"no polynomial reaches eps: on hole {hole}, |integral of f dz| / length = "
+                f"{floor:.3e} bounds every polynomial's sup error from below"
+            )
     try:
-        for t in range(max(max_degree, max(caps, default=0) - 1) + 1):
+        for t in range(steps):
             new = []
             if t <= max_degree:
                 # degree t is w times the orthonormal degree-(t-1) row `last`
@@ -351,8 +401,6 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
         if not trace:
             raise
         stop = str(exc)  # a collapse after step 0 ends the fit at its best step
-    else:
-        stop = "degree/order budget exhausted"
     _, k, d, orders = best
     sr, err = export(k, d, orders)
     raise DegreeExceededError(
@@ -377,7 +425,8 @@ def fit_polynomial_slot(
     lowest-residual step) when the budget runs out.  Convergence is
     guaranteed only when the region's complement is connected and f is
     holomorphic on a neighborhood; calling it on a holed region is allowed
-    and simply tends to end in DegreeExceededError.
+    and tends to end in DegreeExceededError, after step 0 alone when a
+    hole's contour integral shows that no polynomial reaches eps.
     """
     return _escalate(f, region, [], eps, max_degree, n_boundary)
 
@@ -391,7 +440,7 @@ def _validate_poles(
     poles nobody gave: one on the boundary is refused by its hole's size.
     """
     holes = region.bounded_holes()
-    poles = [(complex(p), int(cap)) for p, cap in poles]
+    poles = [(complex(p), _read_int(cap, "pole max_order")) for p, cap in poles]
     if len(poles) != holes:
         raise PolePlacementError(
             f"region has {holes} bounded complement component(s) but "
@@ -519,7 +568,7 @@ def approximate(
         automatic = req is None
         if automatic:
             req = [(a, None) for a in region.hole_anchor_points()]
-        plist = [(complex(p), max(1, max_degree) if cap is None else int(cap)) for p, cap in req]
+        plist = [(complex(p), max(1, max_degree) if cap is None else cap) for p, cap in req]
         try:
             check_poles_clear(expr, region)
             if plist:

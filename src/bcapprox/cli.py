@@ -13,6 +13,7 @@ fits sample the boundary at points equispaced by arclength.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -44,7 +45,10 @@ _SAMPLES = 4096
 DEFAULT_SEED = 1729
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so every ``main`` call can share it."""
     p = argparse.ArgumentParser(prog="bcapprox")
     sub = p.add_subparsers(dest="command", required=True)
 

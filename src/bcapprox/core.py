@@ -20,6 +20,7 @@ of nonnegative reals compared componentwise (a partial order).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, NullConeError
@@ -266,6 +267,17 @@ def _pair_to_complex(v) -> complex:
     if isinstance(v, _Number):
         return complex(v)
     raise ValueError(f"expected [re, im], got {v!r}")
+
+
+def _read_int(v, what: str) -> int:
+    """v as an int when it is an integer or an integral float; a bool, a
+    fraction or anything else is refused by name, never rounded."""
+    if not isinstance(v, bool):
+        if isinstance(v, numbers.Integral):
+            return int(v)
+        if isinstance(v, float) and v.is_integer():
+            return int(v)
+    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 # -- module-level operation surface (mirrors the method API) -------------

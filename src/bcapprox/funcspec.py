@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _pair_to_complex
+from .core import _pair_to_complex, _read_int
 from .errors import DomainError
 from .regions import PlanarRegion
 
@@ -64,7 +64,7 @@ class Expr:
         return Div(Expr._lift(other), self)
 
     def __pow__(self, k: int):
-        return Pow(self, int(k))
+        return Pow(self, _read_int(k, "pow exponent"))
 
     def __neg__(self):
         return Mul(Const(-1 + 0j), self)
@@ -85,7 +85,7 @@ class Expr:
             poles = tuple(_pair_to_complex(p) for p in obj.get("poles", []))
             return Div(Expr.from_json(a), Expr.from_json(b), poles)
         if op == "pow":
-            return Pow(Expr.from_json(obj["base"]), int(obj["exponent"]))
+            return Pow(Expr.from_json(obj["base"]), _read_int(obj["exponent"], "pow exponent"))
         if op == "exp":
             return Exp(Expr.from_json(obj["arg"]))
         if op == "compose":

@@ -75,13 +75,16 @@ def load_path(path: str | Path):
     file would trigger mid-parse (a series at N = 2048 is ~6000 containers)
     cannot free any of it.  They would only promote the half-built tree into
     older generations, which brings on full collections of the whole
-    process later.
+    process later.  A document nested beyond the parser's recursion limit
+    is refused as a ValueError that names the file.
     """
     text = Path(path).read_text(encoding="utf-8")
     enabled = gc.isenabled()
     gc.disable()
     try:
         return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
     finally:
         if enabled:
             gc.enable()

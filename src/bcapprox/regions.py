@@ -17,6 +17,10 @@ per slot.  Classification reads the slot complements directly, so it
 serves equally whether or not the null cone is excised from the
 complement (excision changes no slot topology).
 
+Each curve also carries a contour rule, nodes and weights for the integral
+of f dz along it: the trapezoid rule on a circle, Gauss-Legendre nodes on
+each straight edge.
+
 Samples are boundary points alone, equispaced by arclength on every
 boundary curve, holes included.  They are the only points the fitter and
 its error measurement use: by the maximum-modulus principle the sup of a
@@ -26,6 +30,7 @@ on a seed, and the library draws no random numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,16 +80,30 @@ def _require_resolved(shape: str, center: complex, radius: float) -> None:
 
 class _Curve:
     """A closed boundary curve parametrized proportionally to arclength, with
-    the exact distance from a point to it, a centre and length scale, and
-    ``inside(points, closed)``: the points it encloses, itself if closed."""
+    the exact distance from a point to it, a centre and length scale,
+    ``inside(points, closed)``: the points it encloses, itself if closed, and
+    ``rule(n)``: nodes and weights of a contour rule for the integral of
+    f dz along it, exact for polynomials of degree below about n."""
 
-    def __init__(self, length: float, point_at, distance, center: complex, scale: float, inside):
+    def __init__(
+        self, length: float, point_at, distance, center: complex, scale: float, inside, rule
+    ):
         self.length = length
         self.point_at = point_at  # t in [0, 1) -> complex
         self.distance = distance  # complex p -> float
         self.center = center
         self.scale = scale
         self.inside = inside
+        self.rule = rule  # n -> (nodes, weights)
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n
+    and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _circle_curve(center: complex, radius: float) -> _Curve:
@@ -93,9 +112,17 @@ def _circle_curve(center: complex, radius: float) -> _Curve:
         d = np.abs(pts - center)
         return d <= radius * (1 + 1e-12) if closed else d < radius * (1 - 1e-12)
 
+    def rule(n):
+        # the trapezoid rule in the angle, dz = i (z - center) dtheta.  The
+        # nodes sit half a step off angle 0, so the j-th alias, the Taylor
+        # term of f at index j n - 1, enters with sign (-1)^j: rules of n
+        # and 2 n nodes that both miss f cannot agree on a shared alias.
+        nodes = center + radius * np.exp(2j * math.pi * (np.arange(n) + 0.5) / n)
+        return nodes, (2j * math.pi / n) * (nodes - center)
+
     point_at = lambda t: center + radius * np.exp(2j * math.pi * np.asarray(t))
     distance = lambda p: abs(abs(p - center) - radius)
-    return _Curve(2 * math.pi * radius, point_at, distance, center, radius, inside)
+    return _Curve(2 * math.pi * radius, point_at, distance, center, radius, inside, rule)
 
 
 def _polyline_curve(verts: tuple[complex, ...]) -> _Curve:
@@ -118,10 +145,17 @@ def _polyline_curve(verts: tuple[complex, ...]) -> _Curve:
         s = np.clip(s, 0.0, 1.0)
         return float(np.min(np.abs(p - (a + s * ab))))
 
+    def rule(n):
+        # n Gauss-Legendre nodes on each straight edge a + (b - a)(1 + x)/2
+        x, wx = _gauss_legendre(n)
+        half = np.diff(pts)[:, None] / 2
+        return ((pts[:-1, None] + half) + half * x).ravel(), (half * wx).ravel()
+
     c = sum(verts) / len(verts)
     s = max(abs(v - c) for v in verts)
     # even-odd membership, whether or not the curve itself counts
-    return _Curve(total, point_at, distance, c, s, lambda pts, closed: _points_in_polygon(pts, verts))
+    inside = lambda pts, closed: _points_in_polygon(pts, verts)
+    return _Curve(total, point_at, distance, c, s, inside, rule)
 
 
 class PlanarRegion:

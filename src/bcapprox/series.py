@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Bicomplex, Hyperbolic, idempotent_pair_from_json
+from .core import Bicomplex, Hyperbolic, _read_int, idempotent_pair_from_json
 from .errors import DomainError, InvalidRotationError, NullConeError
 
 KIND_POWER = "power-F"
@@ -115,7 +115,7 @@ class TruncatedSeries:
         # its step, which keeps large files from feeding the cyclic collector
         flat = chain.from_iterable(map(idempotent_pair_from_json, coeffs))
         s = _series(kind, np.fromiter(flat, complex, 2 * len(coeffs)).reshape(-1, 2).T)
-        if "N" in obj and int(obj["N"]) != s.order:
+        if "N" in obj and _read_int(obj["N"], "series N") != s.order:
             raise ValueError(
                 f"declared order {obj['N']} does not match {len(coeffs)} coefficients"
             )

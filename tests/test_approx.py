@@ -38,6 +38,9 @@ from bcapprox.funcspec import Const, Div, Pow, Var
 UNIT_DISK = Disk(0, 1.0)
 ANNULUS = Annulus(0, 1.0, 2.0)
 INV_Z = Div(Const(1), Var(), poles=(0j,))
+# no polynomial approximates it on ANNULUS, yet its integral around the hole
+# is 0, so the hole bound does not stop the fit: the budget runs out
+INV_Z2_PLUS_CUBE = Var() ** -2 + Var() ** 3
 
 
 # -- polynomial slot fits -------------------------------------------------------
@@ -64,9 +67,10 @@ def test_polynomial_geometric_decay():
 
 def test_polynomial_budget_exhaustion_carries_best():
     with pytest.raises(DegreeExceededError) as exc:
-        fit_polynomial_slot(INV_Z, ANNULUS, 1e-10, 40)
+        fit_polynomial_slot(INV_Z2_PLUS_CUBE, ANNULUS, 1e-10, 40)
     best = exc.value.best
     assert not best.achieved
+    assert len(best.trace) == 41
     assert exc.value.error >= 0.1
     # the floor is structural: no degree in the trace ever got close
     assert min(err for _, _, err in best.trace) >= 0.1
@@ -280,14 +284,140 @@ def test_accepted_fit_reports_its_validation_error():
 
 def test_exhausted_fit_reports_validation_error_of_lowest_residual_step():
     with pytest.raises(DegreeExceededError) as exc:
-        fit_polynomial_slot(INV_Z, ANNULUS, 1e-10, 12)
+        fit_polynomial_slot(INV_Z2_PLUS_CUBE, ANNULUS, 1e-10, 12)
     best = exc.value.best
     errs = [err for _, _, err in best.trace]
     # the exported step is the one with the lowest fit-sample residual
-    assert best.degree == best.trace[errs.index(min(errs))][0]
+    assert best.degree == best.trace[errs.index(min(errs))][0] == 3
     zv = sample_region(ANNULUS, best.samples["n_validation_boundary"]).boundary
-    want = float(np.max(np.abs(INV_Z.evaluate(zv) - best.approximant(zv))))
+    want = float(np.max(np.abs(INV_Z2_PLUS_CUBE.evaluate(zv) - best.approximant(zv))))
     assert best.sup_error == want == exc.value.error
+
+
+# -- fits that any stop rule must leave alone ---------------------------------------
+
+
+def test_z10_on_disk_converges_at_degree_10():
+    fit = fit_polynomial_slot(var() ** 10, UNIT_DISK, 1e-12, 40)
+    assert fit.achieved and fit.degree == 10
+
+
+def test_thin_rectangle_keeps_its_late_best_step():
+    # exp(16z) on a 2 x 0.02 rectangle converges superlinearly but late: a
+    # geometric rate taken from the early steps would give up far too soon
+    rect = Polygon((-1 - 0.01j, 1 - 0.01j, 1 + 0.01j, -1 + 0.01j))
+    with pytest.raises(DegreeExceededError) as exc:
+        fit_polynomial_slot(exp(16 * var()), rect, 1e-8, 40)
+    assert exc.value.error < 1e-6
+    assert exc.value.best.degree >= 37
+
+
+def test_slow_geometric_fit_reaches_degree_217():
+    f = Div(Const(1), var() - 1.1, poles=(1.1 + 0j,))
+    fit = fit_polynomial_slot(f, UNIT_DISK, 1e-8, 250)
+    assert fit.achieved and fit.degree == 217
+
+
+# -- the hole bound: no polynomial beats |integral of f dz| / length ---------------------
+
+SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)
+TRIANGLE = (0.3 + 0j, -0.15 + 0.26j, -0.15 - 0.26j)
+SQUARE_WITH_TRIANGLE = PolygonWithHoles(SQUARE, (TRIANGLE,))
+
+
+def _hole_curve(region):
+    return region.boundary_curves()[1]
+
+
+@pytest.mark.parametrize(
+    "center, r_in, p",
+    [(0j, 0.5, 0.1 + 0j), (0.1 + 0.05j, 0.45, 0.3 + 0.1j), (-2 + 1j, 0.2, -2.05 + 1.1j)],
+)
+def test_forced_pole_on_annulus_stops_after_one_step(center, r_in, p):
+    region = Annulus(center, r_in, 2 * r_in)
+    f = Div(Const(1), var() - p)
+    floor = approx_module._hole_floor(f, _hole_curve(region))
+    assert floor == pytest.approx(1 / r_in, rel=1e-9)
+    with pytest.raises(DegreeExceededError) as exc:
+        fit_polynomial_slot(f, region, 1e-8, 40)
+    best = exc.value.best
+    assert len(best.trace) == 1 and best.degree == 0 and not best.achieved
+    assert str(exc.value).startswith(
+        f"no polynomial reaches eps: on hole 0, |integral of f dz| / length = {floor:.3e} "
+    )
+    assert exc.value.error >= floor
+
+
+def test_forced_pole_on_polygonal_hole_stops_after_one_step():
+    f = Div(Const(1), var() - 0.02)
+    perimeter = sum(abs(a - b) for a, b in zip(TRIANGLE, TRIANGLE[1:] + TRIANGLE[:1]))
+    floor = approx_module._hole_floor(f, _hole_curve(SQUARE_WITH_TRIANGLE))
+    assert floor == pytest.approx(2 * math.pi / perimeter, rel=1e-9)
+    func = FunctionSpec(exp(var()), f)
+    compact = ProductCompact(UNIT_DISK, SQUARE_WITH_TRIANGLE)
+    _, report = approximate(func, compact, 1e-8, poles=(None, []))
+    note = report.diagnostics["slot2"]["note"]
+    assert note.startswith("no polynomial reaches eps: on hole 0")
+    assert f"{floor:.3e}" in note
+    assert report.degrees[1] == 0 and report.sup_error.a2 >= floor
+    assert report.diagnostics["slot1"]["achieved"]
+
+
+@pytest.mark.parametrize("region", [Annulus(0.1 + 0.05j, 0.45, 1.0), SQUARE_WITH_TRIANGLE],
+                         ids=["annulus", "square-triangle"])
+@pytest.mark.parametrize("a", [4, 8, 12, 16])
+def test_entire_function_fit_is_untouched_by_the_hole_bound(monkeypatch, region, a):
+    # the integral of an entire f vanishes: no bound, and the fit is the one
+    # the loop gives without the bound, converged or not
+    f = exp(a * var())
+    assert approx_module._hole_floor(f, _hole_curve(region)) == 0.0
+
+    def fit():
+        try:
+            return fit_polynomial_slot(f, region, 1e-8, 60)
+        except DegreeExceededError as exc:
+            return exc.best
+
+    with_bound = fit()
+    monkeypatch.setattr(approx_module, "_hole_floor", lambda f, hole: 0.0)
+    assert with_bound == fit()
+    if isinstance(region, PolygonWithHoles) and a < 16:
+        assert with_bound.achieved and 25 <= with_bound.degree <= 52
+
+
+def test_double_pole_runs_the_full_budget():
+    # residue 0: the integral vanishes, so only the budget ends the fit
+    f = Pow(Var() - (0.1 + 0.05j), -2)
+    region = Annulus(0j, 0.5, 1.0)
+    assert approx_module._hole_floor(f, _hole_curve(region)) == 0.0
+    with pytest.raises(DegreeExceededError, match="budget exhausted") as exc:
+        fit_polynomial_slot(f, region, 1e-8, 40)
+    assert len(exc.value.best.trace) == 41
+
+
+def test_pole_beside_a_hole_vertex_falls_back_to_the_full_run():
+    # 0.01 from the vertex at 0.3 the 32- and 64-node rules disagree
+    f = Div(Const(1), var() - 0.29)
+    assert approx_module._hole_floor(f, _hole_curve(SQUARE_WITH_TRIANGLE)) == 0.0
+    with pytest.raises(DegreeExceededError, match="budget exhausted") as exc:
+        fit_polynomial_slot(f, SQUARE_WITH_TRIANGLE, 1e-8, 40)
+    assert len(exc.value.best.trace) == 41
+
+
+@pytest.mark.parametrize("a", range(56, 66))
+def test_unresolved_circle_rules_give_no_bound(a):
+    # exp(az) on the unit circle needs ~a nodes; with nodes at angle 0 the
+    # 32- and 64-node rules share the alias at Taylor index 63 and agreed
+    # on a false bound for a = 58..63
+    assert approx_module._hole_floor(exp(a * var()), _hole_curve(Annulus(0j, 1.0, 2.0))) == 0.0
+
+
+def test_no_bound_where_f_is_not_finite_at_a_node():
+    # a pole on a node of the 32-node rule: no bound, and no error either
+    region = Annulus(0j, 0.45, 1.0)
+    nodes, _ = _hole_curve(region).rule(32)
+    f = Div(Const(1), var() - complex(nodes[7]))
+    assert approx_module._hole_floor(f, _hole_curve(region)) == 0.0
 
 
 # -- undeclared singularities ------------------------------------------------------

@@ -959,6 +959,124 @@ def test_eval_rational_missing_key_named(workdir):
     assert json.loads(r.stderr) == {"error": "input", "detail": "missing key 'r1'"}
 
 
+def _main(argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# -- strict input reading ---------------------------------------------------------
+
+
+def _deep_file(workdir, kind):
+    depth = 3000
+    if kind == "series":
+        text = '{"kind": "power-F", "coeffs": ' + "[" * depth + "0" + "]" * depth + "}"
+    else:
+        expr = '{"op": "exp", "arg": ' * depth + '{"op": "var"}' + "}" * depth
+        text = '{"f1": ' + expr + ', "f2": {"op": "var"}}'
+    path = workdir / f"deep_{kind}.json"
+    path.write_text(text, encoding="ascii")
+    if kind == "series":
+        return path, ["eval", "--series", str(path), "--at", "0.1"]
+    return path, [
+        "approx", "--function", str(path), "--region", str(workdir / "k_bidisk.json"),
+        "--eps", "1e-8", "--out", str(workdir / "rep.json"),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["series", "function"])
+def test_deep_json_refused_by_name_in_process(workdir, kind):
+    path, argv = _deep_file(workdir, kind)
+    code, _, err = _main(argv)
+    assert code == 2
+    detail = f"{path}: JSON nested too deeply to read"
+    assert json.loads(err) == {"error": "input", "detail": detail}
+
+
+@pytest.mark.parametrize("warnings_env", ["error::RuntimeWarning", ""], ids=["error", "default"])
+@pytest.mark.parametrize("kind", ["series", "function"])
+def test_deep_json_refused_by_name(workdir, kind, warnings_env):
+    path, argv = _deep_file(workdir, kind)
+    r = run_cli(argv, workdir, {"PYTHONWARNINGS": warnings_env})
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["detail"] == f"{path}: JSON nested too deeply to read"
+
+
+def _integer_field_case(workdir, field, value):
+    """An input file whose integer field holds value, and the argv reading it."""
+    approx = ["--eps", "1e-8", "--out", str(workdir / "rep.json")]
+    bad = workdir / "bad.json"
+    if field == "exponent":
+        pow_z = {"op": "pow", "base": {"op": "var"}, "exponent": value}
+        jsonio.dump_path({"f1": pow_z, "f2": {"op": "var"}}, bad)
+        return ["approx", "--function", str(bad), "--region", str(workdir / "k_bidisk.json"),
+                *approx], "pow exponent"
+    if field == "max_order":
+        jsonio.dump_path({"k1": [{"location": [0, 0], "max_order": value}], "k2": None}, bad)
+        return ["approx", "--function", str(workdir / "f_invz.json"),
+                "--region", str(workdir / "k_annulus.json"), "--poles", str(bad),
+                *approx], "pole max_order"
+    if field == "order":
+        term = {"location": [0, 0], "order": value, "coeffs": [[1, 0], [0, 0]]}
+        slot = {"center": [0, 0], "scale": 1.0, "poly": [[1, 0]], "poles": [term]}
+        jsonio.dump_path({"r1": slot, "r2": slot}, bad)
+        return ["eval", "--rational", str(bad), "--at", "0.5"], "pole term order"
+    series = power_series([0, 1, 0.5]).to_json()
+    series["N"] = value
+    jsonio.dump_path(series, bad)
+    return ["eval", "--series", str(bad), "--at", "0.1"], "series N"
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("field", ["exponent", "max_order", "order", "N"])
+def test_integer_field_refuses_fraction_and_bool(workdir, field, value):
+    # pow exponent 2.5 used to be fit as z^2 and reported converged
+    argv, what = _integer_field_case(workdir, field, value)
+    code, _, err = _main(argv)
+    assert code == 2
+    detail = f"{what} must be an integer, got {value!r}"
+    assert json.loads(err) == {"error": "input", "detail": detail}
+    assert not (workdir / "rep.json").exists()
+
+
+@pytest.mark.parametrize("field", ["exponent", "max_order", "order", "N"])
+def test_integer_field_takes_an_integral_float(workdir, field):
+    argv, _ = _integer_field_case(workdir, field, 2.0)
+    code, _, err = _main(argv)
+    assert code == 0, err
+
+
+def test_parser_built_once_keeps_every_output(workdir):
+    # approx, verify, eval and a bad usage (exit 2) through one cached
+    # parser, then each through a freshly built one: the same bytes
+    w = str(workdir)
+    calls = [
+        ["approx", "--function", f"{w}/f_poly.json", "--region", f"{w}/k_bidisk.json",
+         "--eps", "1e-10", "--out", f"{w}/rep.json"],
+        ["verify", "--series", f"{w}/koebe.json", "--bieberbach"],
+        ["eval", "--series", f"{w}/koebe.json", "--at", "0.5"],
+        ["verify", "--series", f"{w}/koebe.json"],
+    ]
+
+    def run_all(fresh):
+        outputs = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            outputs.append(_main(argv))
+            outputs.append((workdir / "rep.json").read_bytes())
+        return outputs
+
+    cli._build_parser.cache_clear()
+    cached = run_all(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert [out[0] for out in cached[::2]] == [0, 0, 0, 2]
+    assert cached == run_all(fresh=True)
+
+
 # -- determinism -------------------------------------------------------------------
 
 

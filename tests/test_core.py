@@ -21,6 +21,7 @@ from bcapprox import (
     idempotent_decompose,
     is_zero_divisor,
 )
+from bcapprox.core import _read_int
 
 
 def rand_bicomplex(rng) -> Bicomplex:
@@ -291,3 +292,16 @@ def test_json_roundtrip_idempotent_and_cartesian():
     assert close(again, z, 1e-15)
     ext = ExtendedBicomplex(float("inf"), 1 + 1j)
     assert ExtendedBicomplex.from_json(ext.to_json()) == ext
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+def test_read_int_takes_integers_and_integral_floats(value):
+    assert _read_int(value, "field") == 3 and type(_read_int(value, "field")) is int
+
+
+@pytest.mark.parametrize(
+    "value", [2.5, True, False, np.bool_(True), float("nan"), float("inf"), "3", None]
+)
+def test_read_int_refuses_the_rest_by_name(value):
+    with pytest.raises(ValueError, match=r"^field must be an integer, got "):
+        _read_int(value, "field")
