@@ -37,6 +37,7 @@ a slot never looks at the other slot.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -83,11 +84,13 @@ class PoleTerm:
 
     @staticmethod
     def from_json(obj: dict) -> PoleTerm:
-        return PoleTerm(
-            _pair_to_complex(obj["location"]),
-            _read_int(obj["order"], "pole term order"),
-            tuple(_pair_to_complex(c) for c in obj["coeffs"]),
-        )
+        order = _read_int(obj["order"], "pole term order")
+        coeffs = tuple(_pair_to_complex(c) for c in obj["coeffs"])
+        if order != len(coeffs):
+            raise ValueError(
+                f"pole term order {order} differs from its {len(coeffs)} coefficient(s)"
+            )
+        return PoleTerm(_pair_to_complex(obj["location"]), order, coeffs)
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     try:
         q_fit = np.empty((ncols, m), dtype=complex)
         T = np.zeros((ncols, ncols), dtype=complex)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
         raise DomainError(
             f"degree budget max_degree={max_degree} with pole orders {tuple(caps)} needs "
             f"{ncols} basis columns on {m} samples; its work buffers cannot be allocated"
@@ -450,6 +453,8 @@ def _validate_poles(
     # the even-odd hole test counts some boundary points as inside a hole
     on_boundary = 1e-12 * region.center_scale()[1]
     for i, (p, cap) in enumerate(poles):
+        if not cmath.isfinite(p):
+            raise PolePlacementError(f"pole {p} is not finite")
         if cap < 1:
             raise PolePlacementError(f"pole order cap must be >= 1, got {cap}")
         if region.boundary_distance(p) <= on_boundary:

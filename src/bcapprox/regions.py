@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -159,12 +159,21 @@ def _polyline_curve(verts: tuple[complex, ...]) -> _Curve:
 
 
 class PlanarRegion:
-    """Base class.  A shape supplies its boundary curves, the outer curve
-    first and then one curve per hole; every other fact about the region
-    follows from them here."""
+    """Base class.  A shape builds its boundary curves once, when it is
+    built, the outer curve first and then one curve per hole; every other
+    fact about the region follows from them here.  The curves are kept on
+    the instance outside the dataclass fields, so they take no part in
+    equality, hashing or ``repr``."""
 
-    def boundary_curves(self) -> list[_Curve]:
-        raise NotImplementedError
+    def _keep_curves(self, *curves: _Curve) -> None:
+        object.__setattr__(self, "_curves", curves)
+
+    def boundary_curves(self) -> tuple[_Curve, ...]:
+        return self._curves
+
+    def __reduce__(self):
+        # the curves hold closures, so a pickled or copied shape is rebuilt
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def bounded_holes(self) -> int:
         return len(self.boundary_curves()) - 1
@@ -233,13 +242,13 @@ class Disk(PlanarRegion):
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", complex(self.center))
+        object.__setattr__(self, "radius", float(self.radius))
         _require_finite("disk", self.center, self.radius)
         if not self.radius > 0:
             raise GeometryError(f"disk radius must be positive, got {self.radius}")
         _require_resolved("disk", self.center, self.radius)
-
-    def boundary_curves(self):
-        return [_circle_curve(self.center, self.radius)]
+        self._keep_curves(_circle_curve(self.center, self.radius))
 
     def to_json(self):
         return {"shape": "disk", "center": _pair_json(self.center), "radius": self.radius}
@@ -252,18 +261,18 @@ class Annulus(PlanarRegion):
     r_out: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", complex(self.center))
+        object.__setattr__(self, "r_in", float(self.r_in))
+        object.__setattr__(self, "r_out", float(self.r_out))
         _require_finite("annulus", self.center, self.r_in, self.r_out)
         if not 0 < self.r_in < self.r_out:
             raise GeometryError(
                 f"annulus needs 0 < r_in < r_out, got ({self.r_in}, {self.r_out})"
             )
         _require_resolved("annulus", self.center, self.r_in)
-
-    def boundary_curves(self):
-        return [
-            _circle_curve(self.center, self.r_out),
-            _circle_curve(self.center, self.r_in),
-        ]
+        self._keep_curves(
+            _circle_curve(self.center, self.r_out), _circle_curve(self.center, self.r_in)
+        )
 
     def to_json(self):
         return {
@@ -289,9 +298,7 @@ class Polygon(PlanarRegion):
         object.__setattr__(self, "vertices", tuple(complex(v) for v in self.vertices))
         _require_finite("polygon", *self.vertices)
         _validate_polygon(self.vertices, "polygon")
-
-    def boundary_curves(self):
-        return [_polyline_curve(self.vertices)]
+        self._keep_curves(_polyline_curve(self.vertices))
 
     def to_json(self):
         return {"shape": "polygon", "vertices": [_pair_json(v) for v in self.vertices]}
@@ -314,9 +321,7 @@ class PolygonWithHoles(PlanarRegion):
             inside = _points_in_polygon(np.asarray(hole, dtype=complex), self.outer)
             if not inside.all():
                 raise GeometryError(f"hole {i} is not strictly inside the outer boundary")
-
-    def boundary_curves(self):
-        return [_polyline_curve(self.outer)] + [_polyline_curve(h) for h in self.holes]
+        self._keep_curves(_polyline_curve(self.outer), *map(_polyline_curve, self.holes))
 
     def to_json(self):
         return {

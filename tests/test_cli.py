@@ -50,7 +50,8 @@ def child_env(env_extra=None):
 
 def run_cli(args, cwd, env_extra=None):
     """Run the CLI in a child process; every run keeps the exit contract:
-    0, 1 or 2, and never a traceback."""
+    0, 1 or 2, and never a traceback, and whatever it prints on stdout is
+    canonical report text."""
     r = subprocess.run(
         [sys.executable, "-m", "bcapprox", *args],
         cwd=cwd,
@@ -60,6 +61,8 @@ def run_cli(args, cwd, env_extra=None):
     )
     assert r.returncode in (0, 1, 2), r.stderr
     assert "Traceback" not in r.stderr, r.stderr
+    if r.stdout:
+        assert jsonio.dumps(json.loads(r.stdout)) + "\n" == r.stdout
     return r
 
 
@@ -280,6 +283,45 @@ def test_approx_basis_collapse_exit1_with_report(workdir):
     assert rep["diagnostics"]["slot1"]["achieved"] is False
     assert "collapsed at pole order" in rep["diagnostics"]["slot1"]["note"]
     assert rep["diagnostics"]["slot2"]["achieved"] is True
+
+
+def test_approx_huge_pole_order_refused_by_budget_exit2(workdir):
+    # numpy refuses the buffer shape itself; the budget message names it
+    poles = {"k1": [{"location": [0, 0], "max_order": 1e12}], "k2": []}
+    jsonio.dump_path(poles, workdir / "p.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_invz.json", "--region", "k_annulus.json",
+            "--poles", "p.json", "--eps", "1e-8", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    detail = json.loads(r.stderr)["detail"]
+    assert detail.startswith(
+        "slot 1: degree budget max_degree=40 with pole orders (1000000000000,) needs "
+        "1000000000041 basis columns"
+    )
+    assert detail.endswith("its work buffers cannot be allocated")
+    assert not (workdir / "rep.json").exists()
+
+
+@pytest.mark.parametrize("location", [["nan", 0], [0, "inf"]])
+def test_approx_non_finite_pole_location_exit2(workdir, location):
+    # NaN used to be refused as lying in the region
+    poles = {"k1": [{"location": location, "max_order": 2}], "k2": []}
+    jsonio.dump_path(poles, workdir / "p.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_invz.json", "--region", "k_annulus.json",
+            "--poles", "p.json", "--eps", "1e-8", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    p = complex(*map(float, location))
+    assert json.loads(r.stderr) == {"error": "input", "detail": f"pole {p} is not finite"}
+    assert not (workdir / "rep.json").exists()
 
 
 def test_approx_undeclared_pole_exit2(workdir):
@@ -957,6 +999,18 @@ def test_eval_rational_missing_key_named(workdir):
     r = run_cli(["eval", "--rational", "rep.json", "--at", "0.5"], workdir)
     assert r.returncode == 2
     assert json.loads(r.stderr) == {"error": "input", "detail": "missing key 'r1'"}
+
+
+@pytest.mark.parametrize("order, ncoeffs", [(0, 2), (5, 1)])
+def test_eval_rational_pole_order_differs_from_coeffs_exit2(workdir, order, ncoeffs):
+    # order 0 with coefficients [1, 2] at 0 used to evaluate to 1/0.5 + 2/0.25 = 10
+    term = {"location": [0, 0], "order": order, "coeffs": [[1, 0], [2, 0]][:ncoeffs]}
+    slot = {"center": [0, 0], "scale": 1.0, "poly": [[0, 0]], "poles": [term]}
+    jsonio.dump_path({"r1": slot, "r2": slot}, workdir / "rat.json")
+    r = run_cli(["eval", "--rational", "rat.json", "--at", "0.5"], workdir)
+    assert r.returncode == 2 and r.stdout == ""
+    detail = f"pole term order {order} differs from its {ncoeffs} coefficient(s)"
+    assert json.loads(r.stderr) == {"error": "input", "detail": detail}
 
 
 def _main(argv):

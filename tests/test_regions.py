@@ -1,5 +1,9 @@
 """Region vocabulary, complement classification, boundary sampling."""
 
+import copy
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from bcapprox import (
     PolygonWithHoles,
     ProductCompact,
     classify_complement,
+    jsonio,
     sample_region,
 )
 from bcapprox.regions import _allocate_boundary
@@ -298,6 +303,33 @@ def test_region_json_roundtrip():
     assert ProductCompact.from_json(k.to_json()) == k
     with pytest.raises(GeometryError):
         PlanarRegion.from_json({"shape": "torus"})
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Disk(1 + 2j, 1),
+        Annulus(0, 0.5, 2),
+        Polygon(SQUARE),
+        PolygonWithHoles((0j, 4 + 0j, 4 + 4j, 4j), ((1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j),)),
+    ],
+    ids=["disk", "annulus", "polygon", "polygon-with-hole"],
+)
+def test_curves_built_once_and_outside_equality_and_text(region):
+    assert region.boundary_curves() is region.boundary_curves()
+    # equality and hashing still read the dataclass fields alone
+    field_values = tuple(getattr(region, f.name) for f in fields(region))
+    assert hash(region) == hash(field_values)
+    twin = PlanarRegion.from_json(region.to_json())
+    assert twin == region and hash(twin) == hash(region) and repr(twin) == repr(region)
+    # int sizes are stored as floats, so equal shapes write equal report text
+    assert jsonio.dumps(twin.to_json()) == jsonio.dumps(region.to_json())
+    assert twin.boundary_curves() is not region.boundary_curves()
+    for again in (pickle.loads(pickle.dumps(region)), copy.deepcopy(region)):
+        assert again == region
+        assert [c.length for c in again.boundary_curves()] == [
+            c.length for c in region.boundary_curves()
+        ]
 
 
 def test_boundary_distance_closed_forms():

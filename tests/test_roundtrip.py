@@ -1,9 +1,9 @@
 """Property tests: every public object survives the report writer.
 
-Each object is written with ``jsonio.dumps`` (sorted keys, %.17g floats),
+Each object is written with ``jsonio.dumps`` (sorted keys, repr floats),
 parsed back with the standard ``json`` module and rebuilt with its
-``from_json``; the result must equal the original exactly, because 17
-significant digits round-trip every finite double.
+``from_json``; the result must equal the original exactly, because the
+repr of a finite double reads back as that double.
 """
 
 import json
