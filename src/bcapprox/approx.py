@@ -9,13 +9,16 @@ region; the complement pattern of the product compact decides the form:
     T1 (both have holes)              rational x rational
 
 Both forms come out of one escalation loop; a polynomial is the rational
-case with no poles.  Step t adds degree t, then order t+1 of each prescribed
-pole (z - p)^-m, one pole per bounded complement component.  The degree-t
-column is w times the orthonormal degree-(t-1) column (Vandermonde with
-Arnoldi, Brubeck, Nakatsukasa & Trefethen 2021), which stays well
-conditioned far beyond where raw monomials give up; the raw pole column of
-order t+1 is that of order t times 1/(z - p).  Every new column is
-orthonormalized once against all earlier ones.  Row k of a matrix T holds
+case with no poles.  A step adds one column to every column group below its
+target: the degree, and the order of each prescribed pole (z - p)^-m, one
+per bounded complement component.  Cauchy moments of f on the region's
+curves set the targets; then all groups grow jointly to their caps.
+The degree-t column is w times the orthonormal degree-(t-1) column
+(Vandermonde with Arnoldi, Brubeck, Nakatsukasa & Trefethen 2021), which
+stays well conditioned far beyond where raw monomials give up; the raw pole
+column of order m+1 is that of order m times 1/(z - p).  Every new column
+is orthogonalized against all earlier ones, a second time only when the
+first pass kept less than 0.7 of its norm.  Row k of a matrix T holds
 column k's coefficients in the raw columns w^j and (z - p)^-m, so a step is
 exported to monomial and partial-fraction form as coef @ T.
 
@@ -228,46 +231,81 @@ def _fvals(f, pts: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: str):
-    """Two-pass classical Gram-Schmidt of v against the orthonormal rows of
-    basis: returns the projection coefficients h, the remaining norm and the
-    new unit row, so that v = h @ basis + norm * row.  The vector is
-    conjugated, not the basis, so no copy of the basis is made."""
-    ref = np.linalg.norm(v)
+    """Classical Gram-Schmidt of v against the orthonormal rows of basis,
+    repeated only when the first pass kept less than 0.7 of v's norm (Daniel,
+    Gragg, Kaufman & Stewart 1976), so a column near collapse is tested after
+    two passes.  Returns the projection coefficients h, the remaining norm and
+    the new unit row: v = h @ basis + norm * row.  v is conjugated, not basis."""
+    ref = math.sqrt(np.vdot(v, v).real)
     h = (basis @ v.conj()).conj()
     v = v - h @ basis
-    h2 = (basis @ v.conj()).conj()
-    v = v - h2 @ basis
-    nrm = np.linalg.norm(v)
+    nrm = math.sqrt(np.vdot(v, v).real)
+    if nrm < 0.7 * ref:
+        h2 = (basis @ v.conj()).conj()
+        v, h = v - h2 @ basis, h + h2
+        nrm = math.sqrt(np.vdot(v, v).real)
     if nrm <= 1e-14 * max(ref, 1e-300):
         raise IllConditionedError(
             f"orthogonalization collapsed at {what}; the sample set cannot resolve it"
         )
-    return h + h2, nrm, v / nrm
+    return h, nrm, v / nrm
 
 
-def _hole_floor(f, hole) -> float:
-    """|integral of f dz| / length over a hole curve, a lower bound on
-    sup |f - p| there for every polynomial p, whose integral vanishes.
+def _moment_bounds(f, curve, a: complex, top: int, eps: float, outer: bool = False):
+    """Cauchy lower bounds L_j, j = 0..top, on sup |f - R| over one curve.
 
-    It counts only if the n = 32 and n = 64 contour rules agree to 1e-3
-    relative and the integral stands clear of rounding: above 1e-10 of
-    length * max |f| at the nodes, a hundred times the rounding of a sum of
-    some thousand terms.  Otherwise, f not finite at a node included, the
-    only bound is the trivial one, 0.
+    On a hole curve, about a point a in the hole, L_j is
+    |integral of f (z-a)^j dz| / integral of |z-a|^j |dz|.  It bounds every R
+    whose pole order at a is <= j: R's polynomial part and its poles in other
+    holes are holomorphic inside the curve, and (z-a)^(j-m) has no residue for
+    m <= j.  L_0 is |integral of f dz| / length, the bound of every polynomial.
+    On the ``outer`` curve, about a point a inside it, the moments of
+    (z-a)^(-j-1) bound every R of degree < j: R (z-a)^(-j-1) decays like z^-2
+    and has no singularity outside the curve.
+
+    A moment counts only if the n- and 2n-node rules of ``curve.rule`` agree
+    to 1e-3 relative, it stands clear of rounding (above 1e-10 of max |f| at
+    the nodes times its denominator, a hundred times the rounding of a sum of
+    some thousand terms) and f is finite at every node; otherwise L_j = 0,
+    the trivial bound.  An n-node rule tests j < n only.  From (32, 64) the
+    rules double while the highest j with L_j > eps lies within 8 of the
+    highest j tested, until ``top`` is tested.  The powers are a running
+    product of x = (z-a)/s, or s/(z-a) on the outer curve, with s the largest
+    or smallest |z-a| at the nodes: no factor exceeds 1 in modulus, so no
+    power overflows, and L_j does not depend on s.
     """
+    n = 32
     with np.errstate(all="ignore"):  # an overflow fails the tests below
-        sums = []
-        for n in (32, 64):
-            nodes, weights = hole.rule(n)
+        while True:
+            jmax = min(n - 1, top)
+            (zc, wc), (zf, wf) = curve.rule(n), curve.rule(2 * n)
+            nodes, nc = np.concatenate([zc, zf]), len(zc)
             vals = _evaluate(f, nodes)
             if not np.isfinite(vals).all():
-                return 0.0
-            sums.append(weights @ vals)
-        coarse, fine = sums
-        size = hole.length * np.max(np.abs(vals))
-        if abs(fine - coarse) <= 1e-3 * abs(fine) and abs(fine) > 1e-10 * size:
-            return float(abs(fine) / hole.length)
-    return 0.0
+                return np.zeros(jmax + 1)
+            dist = np.abs(nodes - a)
+            x = np.min(dist) / (nodes - a) if outer else (nodes - a) / np.max(dist)
+            weights = np.concatenate([wc, wf])
+            # row j is row 0 times x^j, built by doubling: rows b..2b-1 are
+            # rows 0..b-1 times x^b (np.cumprod along axis 0 runs strided and
+            # costs twice as much)
+            powers = np.empty((jmax + 1, len(x)), dtype=complex)
+            powers[0] = weights * x if outer else weights  # (z-a)^-1 = x/s
+            b, xb = 1, x
+            while b <= jmax:
+                e = min(2 * b, jmax + 1)
+                np.multiply(powers[: e - b], xb, out=powers[b:e])
+                xb, b = xb * xb, e
+            fine = powers[:, nc:] @ vals[nc:]
+            diff, fine = np.abs(fine - powers[:, :nc] @ vals[:nc]), np.abs(fine)
+            bounds = fine / np.abs(powers[:, nc:]).sum(axis=1)
+            counted = (diff <= 1e-3 * fine) & (bounds > 1e-10 * np.max(np.abs(vals[nc:])))
+            bounds = np.where(counted, bounds, 0.0)
+            above = np.flatnonzero(bounds > eps)
+            resolved = jmax == top or not len(above) or above[-1] < jmax - 8
+            if resolved or 4 * n * len(x) > 1 << 22:  # no power array beyond 2^22 entries
+                return bounds
+            n *= 2
 
 
 def _check_budget(eps: float, max_degree: int) -> None:
@@ -287,12 +325,13 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     sample, the error it reports; an exhausted budget, or a basis collapse
     after step 0, exports the step with the lowest residual.
 
-    A fit with no poles on a region with holes first asks whether eps can be
-    reached at all.  Every polynomial integrates to 0 around a hole curve, so
-    |integral of f dz| / length there bounds the sup error of every
-    polynomial from below (``_hole_floor``).  When a counted bound exceeds
-    2 eps, the loop runs step 0 only and the slot ends not achieved at that
-    step; its note names the hole and the bound.
+    Each group first grows to its target: the degree to the highest j whose
+    outer moment bound exceeds eps, each pole to one above the highest j
+    whose hole bound does, at least 1, both clipped to their caps.  A cap
+    below its hole's need is named in the note of a fit that misses eps.
+    A fit with no poles on a region with holes runs step 0 only when a j = 0
+    hole bound, which every polynomial obeys, exceeds 2 eps; the slot ends
+    not achieved there, and its note names the hole and the bound.
     """
     _check_budget(eps, max_degree)
     caps = [cap for _, cap in poles]
@@ -323,11 +362,37 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
         ) from exc
     coef = np.empty(ncols, dtype=complex)
     offsets = [max_degree + 1 + sum(caps[:j]) for j in range(len(caps))]
+    center, scale = region.center_scale()
+    # the targets each group grows to on its own, before all grow to their caps
+    top_d, need_d, needs = max_degree, 0, []
+    stop, notes = "degree/order budget exhausted", []
+    if not poles:
+        # Cauchy: every polynomial integrates to 0 around a hole, so f's
+        # integral bounds sup |f - p| from below for all of them at once
+        floors = [(_moment_bounds(f, c, c.center, 0, eps)[0], i) for i, c in enumerate(curves[1:])]
+        floor, hole = max(floors, default=(0.0, 0))
+        if floor > 2 * eps:
+            top_d = 0
+            stop = (
+                f"no polynomial reaches eps: on hole {hole}, |integral of f dz| / length = "
+                f"{floor:.3e} bounds every polynomial's sup error from below"
+            )
+    else:
+        # an unresolved moment, or a centre outside the outer curve, leaves target 0
+        if curves[0].inside(np.asarray([center]), False)[0]:
+            bounds = _moment_bounds(f, curves[0], center, max_degree, eps, outer=True)
+            need_d = int(max(np.flatnonzero(bounds > eps), default=0))
+        for p, cap in poles:
+            hole = region.hole_index(p)
+            bounds = _moment_bounds(f, curves[1 + hole], p, cap, eps)
+            need = int(max(np.flatnonzero(bounds > eps), default=-1)) + 1
+            if need > cap:
+                notes.append(f"hole {hole} needs pole order ≥ {need} at {p}; cap is {cap}")
+            needs.append(min(max(need, 1), cap))
 
     zf = sample_region(region, n_boundary).boundary
     zv = sample_region(region, 4 * n_boundary).boundary
     f_fit, f_val = _fvals(f, zf), _fvals(f, zv)
-    center, scale = region.center_scale()
     w = (zf - center) / scale
     # 1/(z - p) per pole and the latest raw pole column: order t+1 = order t * u
     u = [1.0 / (zf - p) for p, _ in poles]
@@ -335,7 +400,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     resid = f_fit.copy()
 
     def unit(i):
-        return np.eye(1, ncols, i, dtype=complex)[0]
+        return (np.arange(ncols) == i).astype(complex)
 
     def times_w(a):
         # raw coefficients of w times a column: powers of w move up by one,
@@ -359,47 +424,41 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     samples = {"n_boundary": m, "n_validation_boundary": mv}
     trace: list[tuple[int, tuple[int, ...], float]] = []
     best = (math.inf, 0, 0, ())
-    k = d = last = 0
-    steps = max(max_degree, max(caps, default=0) - 1) + 1
-    stop = "degree/order budget exhausted"
-    if not poles:
-        # Cauchy: every polynomial integrates to 0 around a hole, so f's
-        # integral bounds sup |f - p| from below for all of them at once
-        floors = [(_hole_floor(f, c), i) for i, c in enumerate(curves[1:])]
-        floor, hole = max(floors, default=(0.0, 0))
-        if floor > 2 * eps:
-            steps = 1
-            stop = (
-                f"no polynomial reaches eps: on hole {hole}, |integral of f dz| / length = "
-                f"{floor:.3e} bounds every polynomial's sup error from below"
-            )
+    k = last = 0
+    d, orders = -1, [0] * len(poles)
     try:
-        for t in range(steps):
+        while True:
+            if d >= need_d and orders == needs:
+                if need_d == top_d and needs == caps:
+                    break  # every group at its cap
+                need_d, needs = top_d, caps  # every group at its target: grow jointly
             new = []
-            if t <= max_degree:
-                # degree t is w times the orthonormal degree-(t-1) row `last`
-                col = w * q_fit[last] if t else np.ones(m, dtype=complex)
-                new.append((col, times_w(T[last]) if t else unit(0), f"degree {t}"))
-                last, d = k, t
-            for j, (p, cap) in enumerate(poles):
-                if t < cap:
+            if d < need_d:
+                # degree d is w times the orthonormal degree-(d-1) row `last`
+                d += 1
+                col = w * q_fit[last] if d else np.ones(m, dtype=complex)
+                new.append((col, times_w(T[last]) if d else unit(0), f"degree {d}"))
+                last = k
+            for j, (p, _) in enumerate(poles):
+                if orders[j] < needs[j]:
                     raw[j] *= u[j]
-                    new.append((raw[j], unit(offsets[j] + t), f"pole order {t + 1} at {p}"))
+                    orders[j] += 1
+                    base = unit(offsets[j] + orders[j] - 1)
+                    new.append((raw[j], base, f"pole order {orders[j]} at {p}"))
             for col, base, what in new:
                 h, nrm, q_fit[k] = _orthonormalize(q_fit[:k], col, what)
                 T[k] = (base - h @ T[:k]) / nrm
                 coef[k] = np.vdot(q_fit[k], f_fit)
                 resid -= coef[k] * q_fit[k]
                 k += 1
-            orders = tuple(min(t + 1, cap) for cap in caps)
             err = float(np.max(np.abs(resid)))
-            trace.append((d, orders, err))
+            trace.append((d, tuple(orders), err))
             if err < best[0]:
-                best = (err, k, d, orders)
+                best = (err, k, d, tuple(orders))
             if err <= eps:
                 sr, true_err = export(k, d, orders)
                 if true_err <= eps:
-                    return SlotFit(sr, true_err, d, orders, True, tuple(trace), samples)
+                    return SlotFit(sr, true_err, d, tuple(orders), True, tuple(trace), samples)
     except IllConditionedError as exc:
         if not trace:
             raise
@@ -407,7 +466,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     _, k, d, orders = best
     sr, err = export(k, d, orders)
     raise DegreeExceededError(
-        f"{stop}; best sup error {err:.3e} > {eps:.3e}",
+        f"{'; '.join([stop, *notes])}; best sup error {err:.3e} > {eps:.3e}",
         SlotFit(sr, err, d, orders, False, tuple(trace), samples),
         err,
     )
@@ -608,7 +667,7 @@ def approximate(
         classification=cls.label,
         complement_counts=cls.counts,
         sup_error=Hyperbolic(fits[0].sup_error, fits[1].sup_error),
-        target_eps=eps,
+        target_eps=float(eps),
         achieved=fits[0].achieved and fits[1].achieved,
         degrees=(fits[0].degree, fits[1].degree),
         pole_orders=(fits[0].pole_orders, fits[1].pole_orders),

@@ -104,13 +104,28 @@ def _load_poles(path: str | None):
     if path is None:
         return None
     obj = jsonio.load_path(path)
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"poles file: expected an object with keys k1 and k2, got {type(obj).__name__}"
+        )
     out = []
     for key in ("k1", "k2"):
-        if key not in obj or obj[key] is None:
+        entries = obj.get(key)
+        if entries is None:
             out.append(None)
-        else:
-            # a missing max_order leaves the cap to approximate's default rule
-            out.append([(_pair_to_complex(e["location"]), e.get("max_order")) for e in obj[key]])
+            continue
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"poles file: {key} must be a list of poles, got {type(entries).__name__}"
+            )
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict):
+                raise ValueError(
+                    f"poles file: {key} entry {i} must be an object with a location, "
+                    f"got {type(e).__name__}"
+                )
+        # a missing max_order leaves the cap to approximate's default rule
+        out.append([(_pair_to_complex(e["location"]), e.get("max_order")) for e in entries])
     return tuple(out)
 
 

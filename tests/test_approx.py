@@ -1,5 +1,6 @@
 """Fitting engine: polynomial/rational slots, dispatch, error reporting."""
 
+import cmath
 import math
 import warnings
 
@@ -329,6 +330,11 @@ def _hole_curve(region):
     return region.boundary_curves()[1]
 
 
+def _hole_floor(f, hole):
+    """The j = 0 hole moment: |integral of f dz| / length on one hole curve."""
+    return approx_module._moment_bounds(f, hole, hole.center, 0, 1.0)[0]
+
+
 @pytest.mark.parametrize(
     "center, r_in, p",
     [(0j, 0.5, 0.1 + 0j), (0.1 + 0.05j, 0.45, 0.3 + 0.1j), (-2 + 1j, 0.2, -2.05 + 1.1j)],
@@ -336,7 +342,7 @@ def _hole_curve(region):
 def test_forced_pole_on_annulus_stops_after_one_step(center, r_in, p):
     region = Annulus(center, r_in, 2 * r_in)
     f = Div(Const(1), var() - p)
-    floor = approx_module._hole_floor(f, _hole_curve(region))
+    floor = _hole_floor(f, _hole_curve(region))
     assert floor == pytest.approx(1 / r_in, rel=1e-9)
     with pytest.raises(DegreeExceededError) as exc:
         fit_polynomial_slot(f, region, 1e-8, 40)
@@ -351,7 +357,7 @@ def test_forced_pole_on_annulus_stops_after_one_step(center, r_in, p):
 def test_forced_pole_on_polygonal_hole_stops_after_one_step():
     f = Div(Const(1), var() - 0.02)
     perimeter = sum(abs(a - b) for a, b in zip(TRIANGLE, TRIANGLE[1:] + TRIANGLE[:1]))
-    floor = approx_module._hole_floor(f, _hole_curve(SQUARE_WITH_TRIANGLE))
+    floor = _hole_floor(f, _hole_curve(SQUARE_WITH_TRIANGLE))
     assert floor == pytest.approx(2 * math.pi / perimeter, rel=1e-9)
     func = FunctionSpec(exp(var()), f)
     compact = ProductCompact(UNIT_DISK, SQUARE_WITH_TRIANGLE)
@@ -370,7 +376,7 @@ def test_entire_function_fit_is_untouched_by_the_hole_bound(monkeypatch, region,
     # the integral of an entire f vanishes: no bound, and the fit is the one
     # the loop gives without the bound, converged or not
     f = exp(a * var())
-    assert approx_module._hole_floor(f, _hole_curve(region)) == 0.0
+    assert _hole_floor(f, _hole_curve(region)) == 0.0
 
     def fit():
         try:
@@ -379,7 +385,9 @@ def test_entire_function_fit_is_untouched_by_the_hole_bound(monkeypatch, region,
             return exc.best
 
     with_bound = fit()
-    monkeypatch.setattr(approx_module, "_hole_floor", lambda f, hole: 0.0)
+    monkeypatch.setattr(
+        approx_module, "_moment_bounds", lambda f, curve, a, top, eps, outer=False: np.zeros(1)
+    )
     assert with_bound == fit()
     if isinstance(region, PolygonWithHoles) and a < 16:
         assert with_bound.achieved and 25 <= with_bound.degree <= 52
@@ -389,7 +397,7 @@ def test_double_pole_runs_the_full_budget():
     # residue 0: the integral vanishes, so only the budget ends the fit
     f = Pow(Var() - (0.1 + 0.05j), -2)
     region = Annulus(0j, 0.5, 1.0)
-    assert approx_module._hole_floor(f, _hole_curve(region)) == 0.0
+    assert _hole_floor(f, _hole_curve(region)) == 0.0
     with pytest.raises(DegreeExceededError, match="budget exhausted") as exc:
         fit_polynomial_slot(f, region, 1e-8, 40)
     assert len(exc.value.best.trace) == 41
@@ -398,7 +406,7 @@ def test_double_pole_runs_the_full_budget():
 def test_pole_beside_a_hole_vertex_falls_back_to_the_full_run():
     # 0.01 from the vertex at 0.3 the 32- and 64-node rules disagree
     f = Div(Const(1), var() - 0.29)
-    assert approx_module._hole_floor(f, _hole_curve(SQUARE_WITH_TRIANGLE)) == 0.0
+    assert _hole_floor(f, _hole_curve(SQUARE_WITH_TRIANGLE)) == 0.0
     with pytest.raises(DegreeExceededError, match="budget exhausted") as exc:
         fit_polynomial_slot(f, SQUARE_WITH_TRIANGLE, 1e-8, 40)
     assert len(exc.value.best.trace) == 41
@@ -409,7 +417,7 @@ def test_unresolved_circle_rules_give_no_bound(a):
     # exp(az) on the unit circle needs ~a nodes; with nodes at angle 0 the
     # 32- and 64-node rules share the alias at Taylor index 63 and agreed
     # on a false bound for a = 58..63
-    assert approx_module._hole_floor(exp(a * var()), _hole_curve(Annulus(0j, 1.0, 2.0))) == 0.0
+    assert _hole_floor(exp(a * var()), _hole_curve(Annulus(0j, 1.0, 2.0))) == 0.0
 
 
 def test_no_bound_where_f_is_not_finite_at_a_node():
@@ -417,7 +425,87 @@ def test_no_bound_where_f_is_not_finite_at_a_node():
     region = Annulus(0j, 0.45, 1.0)
     nodes, _ = _hole_curve(region).rule(32)
     f = Div(Const(1), var() - complex(nodes[7]))
-    assert approx_module._hole_floor(f, _hole_curve(region)) == 0.0
+    assert _hole_floor(f, _hole_curve(region)) == 0.0
+
+
+# -- Cauchy moments size the column groups --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "c, radius, a",
+    [(0j, 1.0, 1.5), (0.3 - 0.2j, 0.8, 2 * cmath.exp(0.7j)), (-1 + 2j, 2.5, 0.9j)],
+)
+def test_outer_moments_are_cauchy_estimates(c, radius, a):
+    # on a circle of radius R about c the outer moment j of exp(az) is
+    # |f^(j)(c) / j!| R^j = |e^(ac) a^j / j!| R^j
+    outer = Disk(c, radius).boundary_curves()[0]
+    bounds = approx_module._moment_bounds(exp(Const(a) * var()), outer, c, 12, 1e-8, outer=True)
+    assert len(bounds) == 13
+    for j, got in enumerate(bounds):
+        want = abs(cmath.exp(a * c) * a**j / math.factorial(j)) * radius**j
+        assert got == pytest.approx(want, rel=1e-9), j
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.1, 0.15 - 0.1j])
+def test_hole_moments_are_laurent_coefficients(k, offset):
+    # about the centre a of the hole, (z - p)^-k is the sum over n of
+    # C(n+k-1, k-1) (p-a)^n (z-a)^-(n+k); moment j picks n = j + 1 - k, so
+    # L_j = C(j, k-1) |p-a|^(j+1-k) / r^(j+1), and 0 below j = k - 1
+    a, r = 0.2 + 0.1j, 0.5
+    hole = Annulus(a, r, 1.0).boundary_curves()[1]
+    p = a + offset
+    bounds = approx_module._moment_bounds(Pow(Var() - p, -k), hole, a, 20, 1e-12)
+    assert not bounds[: k - 1].any()
+    assert bounds[k - 1 : k + 7].all()  # the rounding test keeps the leading ones
+    for j in np.flatnonzero(bounds):
+        want = math.comb(j, k - 1) * abs(p - a) ** (j + 1 - k) / r ** (j + 1)
+        assert bounds[j] == pytest.approx(want, rel=1e-9), j
+
+
+def test_moment_rules_double_until_the_needed_order_resolves():
+    # 1/(z - 0.03) about the centre of a 0.05 hole needs order 50 at eps
+    # 1e-10; the 32/64 rules test j <= 31 only, where the bound still exceeds
+    # eps, so the rules double, and the 64/128 rules count it to j = 43
+    hole = Annulus(0j, 0.05, 1.0).boundary_curves()[1]
+    f = Div(Const(1), Var() - 0.03)
+    bounds = approx_module._moment_bounds(f, hole, 0j, 80, 1e-10)
+    above = np.flatnonzero(bounds > 1e-10)
+    assert 40 <= above[-1] < 50
+    for j in above:
+        assert bounds[j] == pytest.approx(0.6**j / 0.05, rel=1e-6)
+
+
+def test_cap_below_the_needed_order_is_named():
+    # the same hole with a pole cap of 10: no fit reaches eps, and the note
+    # says which order the hole's moments ask for
+    f = exp(var()) + Div(Const(1), Var() - 0.03)
+    with pytest.raises(DegreeExceededError) as exc:
+        fit_rational_slot(f, Annulus(0j, 0.05, 1.0), [(0j, 10)], 1e-10, 20)
+    assert "hole 0 needs pole order ≥ 11 at 0j; cap is 10" in str(exc.value)
+    # the fit still runs to its caps, and its error obeys the order-10 bound
+    assert exc.value.best.trace[-1][:2] == (20, (10,))
+    assert exc.value.error >= 0.6**10 / 0.05
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    a=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    c=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0, allow_nan=False),
+    p=st.complex_numbers(max_magnitude=0.2, allow_nan=False, allow_infinity=False),
+)
+def test_zero_residue_pole_term_keeps_the_fit(a, c, p):
+    # c/(z - p)^2 integrates to 0 around the hole, so the j = 0 moment misses
+    # it; j = 1 sees it, and both fits reach eps: less that term, they agree
+    # to 2 eps on the validation sample
+    region, eps = Annulus(0j, 0.5, 1.0), 1e-9
+    f = exp(Const(a) * var())
+    fit_f = fit_rational_slot(f, region, [(p, 20)], eps, 30)
+    fit_g = fit_rational_slot(f + Const(c) * Pow(Var() - p, -2), region, [(p, 20)], eps, 30)
+    assert fit_f.achieved and fit_g.achieved and fit_g.pole_orders[0] >= 2
+    zv = sample_region(region, fit_g.samples["n_validation_boundary"]).boundary
+    diff = fit_g.approximant(zv) - c / (zv - p) ** 2 - fit_f.approximant(zv)
+    assert np.max(np.abs(diff)) <= 2 * eps
 
 
 # -- undeclared singularities ------------------------------------------------------
@@ -486,6 +574,15 @@ def test_reports_byte_identical_for_equal_inputs(a):
     assert jsonio.dumps(r1.to_json()) == jsonio.dumps(r2.to_json())
 
 
+def test_equal_eps_gives_equal_report_bytes():
+    # the report stores float(eps): an int target writes 1.0, not 1
+    func = FunctionSpec(exp(var()), exp(var()))
+    compact = ProductCompact(UNIT_DISK, UNIT_DISK)
+    as_int, as_float = (approximate(func, compact, eps)[1] for eps in (1, 1.0))
+    assert jsonio.dumps(as_int.to_json()) == jsonio.dumps(as_float.to_json())
+    assert '"target_eps":1.0' in jsonio.dumps(as_int.to_json())
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     a=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -540,6 +637,69 @@ def test_t1_poles_per_component():
     assert report.pole_marker == ("finite", "finite")
     assert rational.r1.poles[0].location == 0j
     assert rational.r2.poles[0].location == c
+
+
+def _turn(t):
+    return cmath.exp(1j * t)
+
+
+def _ngon(c, r, k, rot):
+    return tuple(c + r * _turn(rot + 2 * math.pi * j / k) for j in range(k))
+
+
+def _exp_of(a):
+    return exp(Const(a) * var())
+
+
+# one product compact per complement class, shaped like the benchmark's fit
+# jobs: exp(az) with |a| ~ 1.5 on unit-sized shapes, 1/z on a shifted annulus
+CANONICAL_FITS = {
+    "T4": (
+        FunctionSpec(_exp_of(1.5 * _turn(0.4)), _exp_of(1.45 * _turn(-2.1))),
+        ProductCompact(Disk(0.2 + 0.1j, 1.0), Disk(-0.1 + 0.3j, 0.98)),
+        1e-8,
+        (13, 13),
+    ),
+    "T2": (
+        FunctionSpec(INV_Z, _exp_of(1.55 * _turn(2.5))),
+        ProductCompact(Annulus(0.09 * _turn(1.0), 0.6, 1.15), Disk(0.25 * _turn(-0.7), 1.02)),
+        1e-9,
+        (0, 14),
+    ),
+    "T3": (
+        FunctionSpec(_exp_of(1.5 * _turn(1.1)), _exp_of(1.5 * _turn(-0.4))),
+        ProductCompact(
+            Polygon(_ngon(0.3 * _turn(0.5), 1.0, 5, 0.3)),
+            PolygonWithHoles(
+                _ngon(0.3 * _turn(-1.2), 1.43, 4, 0.7 + math.pi / 4),
+                (_ngon(0.3 * _turn(-1.2), 0.32, 3, 0.7),),
+            ),
+        ),
+        1e-8,
+        (13, 15),
+    ),
+    "T1": (
+        FunctionSpec(_exp_of(1.5 * _turn(2.0)), _exp_of(1.5 * _turn(-1.0))),
+        ProductCompact(Annulus(0.2 * _turn(0.3), 0.5, 1.0), Annulus(0.2 * _turn(2.2), 0.49, 1.02)),
+        1e-10,
+        (15, 15),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CANONICAL_FITS))
+def test_canonical_fits_keep_degrees_with_few_pole_columns(label):
+    # the moments size every pole group: an entire f needs at most a few
+    # pole orders beside its degree, and 1/z about an anchor 0.09 off its
+    # pole needs order 12 and no degree at all
+    func, compact, eps, degrees = CANONICAL_FITS[label]
+    _, report = approximate(func, compact, eps)
+    assert report.classification == label and report.achieved
+    assert report.degrees == degrees
+    if label == "T2":
+        assert report.pole_orders == ((12,), ())
+    else:
+        assert all(1 <= o <= 3 for orders in report.pole_orders for o in orders)
 
 
 def test_forced_polynomial_fails_honestly():

@@ -394,6 +394,37 @@ def test_approx_max_degree_zero_on_holed_region(workdir):
     assert rep["degrees"] == [0, 0]
 
 
+@pytest.mark.parametrize(
+    "poles, detail",
+    [
+        ([1, 2], "poles file: expected an object with keys k1 and k2, got list"),
+        (
+            {"k1": {"location": [0, 0]}},
+            "poles file: k1 must be a list of poles, got dict",
+        ),
+        (
+            {"k1": [{"location": [0, 0]}, [0, 0]]},
+            "poles file: k1 entry 1 must be an object with a location, got list",
+        ),
+    ],
+    ids=["top-level-list", "slot-object", "entry-list"],
+)
+def test_approx_poles_file_shape_refused_by_name_exit2(workdir, poles, detail):
+    # a top-level list was taken as "no poles file"; the other two were
+    # refused in Python's words about string and list indices
+    jsonio.dump_path(poles, workdir / "p.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_invz.json", "--region", "k_annulus.json",
+            "--poles", "p.json", "--eps", "1e-8", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    assert json.loads(r.stderr) == {"error": "input", "detail": detail}
+    assert not (workdir / "rep.json").exists()
+
+
 @pytest.mark.parametrize("pair", [[0.5], [0.5, 0.0, 1.0]], ids=["one", "three"])
 @pytest.mark.parametrize("kind", ["region", "function", "poles", "rational"])
 def test_malformed_pair_exit2(workdir, kind, pair):
@@ -432,7 +463,8 @@ def test_malformed_pair_exit2(workdir, kind, pair):
 
 def test_approx_pole_without_max_order_gets_degree_cap(workdir):
     # a poles-file entry without max_order is capped like an automatic pole,
-    # at max(1, --max-degree); at a cap of 8 this fit missed eps (6.4e-6)
+    # at max(1, --max-degree); at a cap of 8 this fit missed eps (6.4e-6).
+    # The hole moments of 1/(z - 0.1) about 0 ask for order 15
     func = FunctionSpec(
         exp(Const(1.5) * var()) + Div(Const(1), Var() - 0.1, poles=(0.1 + 0j,)), exp(var())
     )
@@ -446,7 +478,7 @@ def test_approx_pole_without_max_order_gets_degree_cap(workdir):
     r = run_cli([*approx, "--poles", "p_nocap.json", "--out", "rep.json"], workdir)
     assert r.returncode == 0, r.stderr
     rep = json.loads((workdir / "rep.json").read_text())
-    assert rep["pole_orders"] == [[16], []]
+    assert rep["pole_orders"] == [[15], []]
     # an explicit cap below 1 is still an input error
     r = run_cli([*approx, "--poles", "p_zero.json", "--out", "rep0.json"], workdir)
     assert r.returncode == 2
