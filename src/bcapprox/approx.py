@@ -269,18 +269,22 @@ def _moment_bounds(f, curve, a: complex, top: int, eps: float, outer: bool = Fal
     some thousand terms) and f is finite at every node; otherwise L_j = 0,
     the trivial bound.  An n-node rule tests j < n only.  From (32, 64) the
     rules double while the highest j with L_j > eps lies within 8 of the
-    highest j tested, until ``top`` is tested.  The powers are a running
+    highest j tested, until ``top`` is tested; each doubled pair reuses
+    the previous fine rule and f's values on it.  The powers are a running
     product of x = (z-a)/s, or s/(z-a) on the outer curve, with s the largest
     or smallest |z-a| at the nodes: no factor exceeds 1 in modulus, so no
     power overflows, and L_j does not depend on s.
     """
     n = 32
+    zc, wc = curve.rule(n)
+    vc = _evaluate(f, zc)
     with np.errstate(all="ignore"):  # an overflow fails the tests below
         while True:
             jmax = min(n - 1, top)
-            (zc, wc), (zf, wf) = curve.rule(n), curve.rule(2 * n)
+            zf, wf = curve.rule(2 * n)
+            vf = _evaluate(f, zf)
             nodes, nc = np.concatenate([zc, zf]), len(zc)
-            vals = _evaluate(f, nodes)
+            vals = np.concatenate([vc, vf])
             if not np.isfinite(vals).all():
                 return np.zeros(jmax + 1)
             dist = np.abs(nodes - a)
@@ -305,7 +309,8 @@ def _moment_bounds(f, curve, a: complex, top: int, eps: float, outer: bool = Fal
             resolved = jmax == top or not len(above) or above[-1] < jmax - 8
             if resolved or 4 * n * len(x) > 1 << 22:  # no power array beyond 2^22 entries
                 return bounds
-            n *= 2
+            # the doubled pair's coarse rule is this pair's fine one
+            n, zc, wc, vc = 2 * n, zf, wf, vf
 
 
 def _check_budget(eps: float, max_degree: int) -> None:

@@ -8,6 +8,9 @@ the same inputs produce byte-identical files.
 Every subcommand accepts --seed, which BCAPPROX_SEED overrides when set.
 Only the approx report records it ("seed"), and no output depends on it:
 fits sample the boundary at points equispaced by arclength.
+
+``main`` is shared by in-process callers and leaves the garbage collector
+as it finds it; the one-shot process entry is ``bcapprox.__main__.run``.
 """
 
 from __future__ import annotations
@@ -19,26 +22,14 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import jsonio
-from .approx import BicomplexRational, approximate
 from .core import Bicomplex, ExtendedBicomplex, Hyperbolic, _pair_to_complex
 from .errors import DomainError, IllConditionedError, NullConeError
-from .funcspec import FunctionSpec
+
+# moebius needs no numpy, so it loads with the CLI, where the benchmark's
+# tracer (perfbench/tracer.py) looks it up; every other command module, and
+# numpy, is imported by the command that runs it
 from .moebius import MoebiusMap, moebius_apply
-from .regions import ProductCompact
-from .series import (
-    KIND_POWER,
-    TruncatedSeries,
-    area_contour_estimate,
-    bieberbach_check,
-    gronwall_area_sum,
-    inversion_transform,
-    koebe_covering_min,
-    series_eval,
-    sqrt_transform,
-)
 
 _BOUND_SLACK = 1e-12
 _SAMPLES = 4096
@@ -130,9 +121,16 @@ def _load_poles(path: str | None):
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    func = FunctionSpec.from_json(jsonio.load_path(args.function))
-    compact = ProductCompact.from_json(jsonio.load_path(args.region))
+    # a missing or unreadable input file fails before the fit engine loads
+    func_json = jsonio.load_path(args.function)
+    region_json = jsonio.load_path(args.region)
     poles = _load_poles(args.poles)
+    from .approx import approximate
+    from .funcspec import FunctionSpec
+    from .regions import ProductCompact
+
+    func = FunctionSpec.from_json(func_json)
+    compact = ProductCompact.from_json(region_json)
     rational, report = approximate(
         func, compact, args.eps, args.max_degree, poles, n_boundary=args.samples
     )
@@ -160,6 +158,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, flag) is not None:
             raise ValueError(f"--{flag} has no effect on {where}")
     samples = _SAMPLES if args.samples is None else args.samples
+    from .series import (
+        KIND_POWER,
+        TruncatedSeries,
+        area_contour_estimate,
+        bieberbach_check,
+        gronwall_area_sum,
+        inversion_transform,
+        koebe_covering_min,
+        sqrt_transform,
+    )
+
     series = TruncatedSeries.from_json(jsonio.load_path(args.series))
     if args.order is not None:
         series = series.truncated(args.order)
@@ -254,11 +263,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except DomainError as exc:
             raise DomainError(f"value at --at point {args.at} is undefined: {exc}") from exc
     else:
+        import numpy as np
+
         if isinstance(point, ExtendedBicomplex):
             point = point.to_bicomplex()
         if args.series:
+            from .series import TruncatedSeries, series_eval
+
             s = TruncatedSeries.from_json(jsonio.load_path(args.series))
         else:
+            from .approx import BicomplexRational
+
             r = BicomplexRational.from_json(jsonio.load_path(args.rational))
         with np.errstate(all="ignore"):
             v = series_eval(s, point) if args.series else r.evaluate(point)

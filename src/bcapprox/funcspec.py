@@ -70,7 +70,11 @@ class Expr:
         return Mul(Const(-1 + 0j), self)
 
     @staticmethod
-    def from_json(obj: dict) -> Expr:
+    def from_json(obj: dict, where: str = "expression") -> Expr:
+        """The expression tree of a JSON node; ``where`` names the node in
+        the message that refuses one which is not an object."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be an object with an op, got {type(obj).__name__}")
         op = obj.get("op")
         if op == "const":
             return Const(_pair_to_complex(obj["value"]))
@@ -79,17 +83,20 @@ class Expr:
         if op in ("add", "sub", "mul"):
             cls = {"add": Add, "sub": Sub, "mul": Mul}[op]
             a, b = obj["args"]
-            return cls(Expr.from_json(a), Expr.from_json(b))
+            return cls(Expr.from_json(a, f"{where}.args[0]"), Expr.from_json(b, f"{where}.args[1]"))
         if op == "div":
             a, b = obj["args"]
             poles = tuple(_pair_to_complex(p) for p in obj.get("poles", []))
-            return Div(Expr.from_json(a), Expr.from_json(b), poles)
+            a, b = Expr.from_json(a, f"{where}.args[0]"), Expr.from_json(b, f"{where}.args[1]")
+            return Div(a, b, poles)
         if op == "pow":
-            return Pow(Expr.from_json(obj["base"]), _read_int(obj["exponent"], "pow exponent"))
+            base = Expr.from_json(obj["base"], f"{where}.base")
+            return Pow(base, _read_int(obj["exponent"], "pow exponent"))
         if op == "exp":
-            return Exp(Expr.from_json(obj["arg"]))
+            return Exp(Expr.from_json(obj["arg"], f"{where}.arg"))
         if op == "compose":
-            return Compose(Expr.from_json(obj["outer"]), Expr.from_json(obj["inner"]))
+            outer = Expr.from_json(obj["outer"], f"{where}.outer")
+            return Compose(outer, Expr.from_json(obj["inner"], f"{where}.inner"))
         raise ValueError(f"unknown expression op {op!r}")
 
 
@@ -242,7 +249,12 @@ class FunctionSpec:
 
     @staticmethod
     def from_json(obj: dict) -> FunctionSpec:
-        return FunctionSpec(Expr.from_json(obj["f1"]), Expr.from_json(obj["f2"]))
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"function: expected an object with keys f1 and f2, got {type(obj).__name__}"
+            )
+        f1 = Expr.from_json(obj["f1"], "function f1")
+        return FunctionSpec(f1, Expr.from_json(obj["f2"], "function f2"))
 
 
 def check_poles_clear(expr: Expr, region: PlanarRegion) -> None:

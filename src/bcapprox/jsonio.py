@@ -30,8 +30,10 @@ def load_path(path: str | Path):
     file would trigger mid-parse (a series at N = 2048 is ~6000 containers)
     cannot free any of it.  They would only promote the half-built tree into
     older generations, which brings on full collections of the whole
-    process later.  A document nested beyond the parser's recursion limit
-    is refused as a ValueError that names the file.
+    process later.  The one-shot process entry runs with the collector
+    off, so the pause matters to in-process callers, where it keeps the
+    slowest series reads short.  A document nested beyond the parser's
+    recursion limit is refused as a ValueError that names the file.
     """
     text = Path(path).read_text(encoding="utf-8")
     enabled = gc.isenabled()

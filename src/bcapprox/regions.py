@@ -215,7 +215,9 @@ class PlanarRegion:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(obj: dict) -> PlanarRegion:
+    def from_json(obj: dict, where: str = "region") -> PlanarRegion:
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be an object with a shape, got {type(obj).__name__}")
         shape = obj.get("shape")
         if shape == "disk":
             return Disk(_pair_to_complex(obj["center"]), float(obj["radius"]))
@@ -349,8 +351,13 @@ class ProductCompact:
 
     @staticmethod
     def from_json(obj: dict) -> ProductCompact:
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"region: expected an object with keys k1 and k2, got {type(obj).__name__}"
+            )
         return ProductCompact(
-            PlanarRegion.from_json(obj["k1"]), PlanarRegion.from_json(obj["k2"])
+            PlanarRegion.from_json(obj["k1"], "region k1"),
+            PlanarRegion.from_json(obj["k2"], "region k2"),
         )
 
 

@@ -469,7 +469,16 @@ def test_moment_rules_double_until_the_needed_order_resolves():
     # eps, so the rules double, and the 64/128 rules count it to j = 43
     hole = Annulus(0j, 0.05, 1.0).boundary_curves()[1]
     f = Div(Const(1), Var() - 0.03)
-    bounds = approx_module._moment_bounds(f, hole, 0j, 80, 1e-10)
+    sizes = []
+
+    def counted(z):
+        sizes.append(len(z))
+        return f.evaluate(z)
+
+    bounds = approx_module._moment_bounds(counted, hole, 0j, 80, 1e-10)
+    # the 64/128 pair reuses the 64-node rule and f's values on it
+    assert sizes == [32, 64, 128]
+    assert np.array_equal(bounds, approx_module._moment_bounds(f, hole, 0j, 80, 1e-10))
     above = np.flatnonzero(bounds > 1e-10)
     assert 40 <= above[-1] < 50
     for j in above:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -633,6 +634,104 @@ def test_approx_region_fuzz_keeps_exit_contract(tmp_path_factory, data):
         assert json.loads(err.getvalue())["error"] == "input"
 
 
+
+_VAR = {"op": "var"}
+_UNIT_DISK_JSON = Disk(0, 1.0).to_json()
+
+
+@pytest.mark.parametrize(
+    "function, region, detail",
+    [
+        (
+            {"f1": [1, 2], "f2": _VAR}, None,
+            "function f1 must be an object with an op, got list",
+        ),
+        ({"f1": "exp", "f2": _VAR}, None, "function f1 must be an object with an op, got str"),
+        (
+            {"f1": _VAR, "f2": {"op": "add", "args": [_VAR, [1, 2]]}}, None,
+            "function f2.args[1] must be an object with an op, got list",
+        ),
+        (
+            {"f1": {"op": "exp", "arg": None}, "f2": _VAR}, None,
+            "function f1.arg must be an object with an op, got NoneType",
+        ),
+        ([_VAR, _VAR], None, "function: expected an object with keys f1 and f2, got list"),
+        (None, {"k1": [1, 2], "k2": _UNIT_DISK_JSON}, "region k1 must be an object with a shape, got list"),
+        (None, {"k1": _UNIT_DISK_JSON, "k2": 3}, "region k2 must be an object with a shape, got int"),
+        (None, [[1, 2]], "region: expected an object with keys k1 and k2, got list"),
+    ],
+    ids=[
+        "f1-list", "f1-string", "args-list", "arg-null", "function-list",
+        "k1-list", "k2-number", "region-list",
+    ],
+)
+def test_approx_node_not_an_object_refused_by_name_exit2(workdir, function, region, detail):
+    # each of these was AttributeError: '...' object has no attribute 'get'
+    # raised in Expr.from_json or PlanarRegion.from_json, a traceback and exit 1
+    if function is not None:
+        jsonio.dump_path(function, workdir / "f_bad.json")
+    if region is not None:
+        jsonio.dump_path(region, workdir / "k_bad.json")
+    r = run_cli(
+        [
+            "approx", "--function", "f_poly.json" if function is None else "f_bad.json",
+            "--region", "k_bidisk.json" if region is None else "k_bad.json",
+            "--eps", "1e-8", "--out", "rep.json",
+        ],
+        workdir,
+    )
+    assert r.returncode == 2
+    assert json.loads(r.stderr) == {"error": "input", "detail": detail}
+    assert not (workdir / "rep.json").exists()
+
+
+_FUZZ_FUNCTIONS = [
+    FunctionSpec(exp(var()), Div(Const(1), Var() - 3, poles=(3 + 0j,))).to_json(),
+    FunctionSpec(var() ** 2 - exp(Const(0.5) * var()), exp(var())).to_json(),
+]
+
+
+def _node_paths(obj, path=()):
+    """The key path of every object or list below the top of a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, val in items:
+        if isinstance(val, (dict, list)):
+            yield path + (key,)
+            yield from _node_paths(val, path + (key,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_approx_node_fuzz_keeps_exit_contract(tmp_path_factory, data):
+    # one whole node of a valid function or region file replaced by a list,
+    # a string, a number or null: the run ends in 0, 1 or 2, and no
+    # exception or warning escapes cli.main
+    files = {
+        "f.json": copy.deepcopy(data.draw(st.sampled_from(_FUZZ_FUNCTIONS))),
+        "k.json": copy.deepcopy(data.draw(st.sampled_from(_FUZZ_REGIONS))),
+    }
+    name = data.draw(st.sampled_from(sorted(files)))
+    path = data.draw(st.sampled_from(list(_node_paths(files[name]))))
+    target = files[name]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(st.sampled_from([[1, 2], "exp", 3, 0.5, None]))
+    wd = tmp_path_factory.mktemp("fuzz")
+    for fname, obj in files.items():
+        (wd / fname).write_text(json.dumps(obj), encoding="ascii")
+    argv = [
+        "approx", "--function", str(wd / "f.json"), "--region", str(wd / "k.json"),
+        "--eps", "1e-8", "--max-degree", "4", "--out", str(wd / "rep.json"),
+    ]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert json.loads(err.getvalue())["error"] == "input"
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -1220,3 +1319,136 @@ def test_approx_report_differs_across_seeds_only_in_seed_field(workdir):
         assert rep.pop("seed") == seed
         reports.append(rep)
     assert reports[0] == reports[1] == reports[2]
+
+
+# -- what each command loads ----------------------------------------------------
+
+# the package's public names as they were when `import bcapprox` loaded them all
+_PUBLIC_NAMES = [
+    "Add", "Annulus", "ApproxReport", "Bicomplex", "BicomplexRational", "BieberbachResult",
+    "ComplementClassification", "Compose", "Const", "DegenerateMapError",
+    "DegreeExceededError", "Disk", "Div", "DomainError", "E1", "E2", "Exp", "Expr",
+    "ExtendedBicomplex", "FunctionSpec", "GeometryError", "Hyperbolic", "I", "INF",
+    "IllConditionedError", "InvalidRotationError", "J", "K", "KIND_LAURENT", "KIND_POWER",
+    "MoebiusMap", "Mul", "NullConeError", "ONE", "PlanarRegion", "PolePlacementError",
+    "PoleTerm", "Polygon", "PolygonWithHoles", "Pow", "ProductCompact", "RegionSamples",
+    "SlotFit", "SlotRational", "Sub", "TruncatedSeries", "Var", "ZERO", "approximate",
+    "area_contour_estimate", "bieberbach_check", "classify_complement", "conjugate", "const",
+    "exp", "fit_polynomial_slot", "fit_rational_slot", "gronwall_area_sum", "hyp_leq",
+    "idempotent_compose", "idempotent_decompose", "identity_map", "identity_series",
+    "inversion_transform", "invert", "is_zero_divisor", "koebe_covering_min",
+    "koebe_rotation_series", "laurent_series", "moebius_apply", "moebius_compose",
+    "moebius_inverse", "moebius_new", "multiply", "norm_k", "power_series", "sample_region",
+    "series_eval", "sqrt_transform", "sup_error_k", "var",
+]
+
+# runs `python -m bcapprox ARGV...` through its process entry, then prints
+# the exit code, the loaded module names and the collector's state as the
+# last line of stdout
+_RUN_ENTRY = (
+    "import gc, json, runpy, sys\n"
+    "sys.argv = ['bcapprox', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('bcapprox', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(sys.modules), gc.isenabled(), gc.get_freeze_count()]))\n"
+)
+
+
+def _child_state(code, args, cwd):
+    """The last stdout line of a fresh interpreter running code, parsed."""
+    r = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=child_env(), capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def _loaded_by(args, cwd):
+    """Exit code and loaded module names of a command run in a fresh process."""
+    rc, modules, _, _ = _child_state(_RUN_ENTRY, args, cwd)
+    return rc, set(modules)
+
+
+def _loaded_by_import(module, cwd):
+    listing = f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))\n"
+    modules = set(_child_state(listing, [], cwd))
+    return {m for m in modules if m.startswith("bcapprox.")}, "numpy" in modules
+
+
+def test_import_package_loads_no_submodule(tmp_path):
+    assert _loaded_by_import("bcapprox", tmp_path) == (set(), False)
+
+
+def test_import_cli_loads_only_numpy_free_modules(tmp_path):
+    # moebius loads with the CLI: perfbench/tracer.py looks it up in
+    # sys.modules after importing only bcapprox and bcapprox.cli
+    submodules = {"bcapprox.cli", "bcapprox.core", "bcapprox.errors", "bcapprox.jsonio",
+                  "bcapprox.moebius"}
+    assert _loaded_by_import("bcapprox.cli", tmp_path) == (submodules, False)
+
+
+def test_eval_moebius_loads_no_numpy(workdir):
+    jsonio.dump_path(bcapprox.identity_map().to_json(), workdir / "ident.json")
+    rc, modules = _loaded_by(["eval", "--moebius", "ident.json", "--at", "0.5"], workdir)
+    assert rc == 0
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--series", "koebe.json", "--bieberbach", "--out", "v.json"],
+        ["eval", "--series", "koebe.json", "--at", "0.5", "--out", "v.json"],
+    ],
+    ids=["verify-bieberbach", "eval-series"],
+)
+def test_series_commands_load_no_fit_engine(workdir, args):
+    rc, modules = _loaded_by(args, workdir)
+    assert rc == 0
+    assert "bcapprox.series" in modules
+    assert not {"bcapprox.approx", "bcapprox.regions", "bcapprox.funcspec"} & modules
+
+
+def test_approx_loads_no_series(workdir):
+    args = [
+        "approx", "--function", "f_poly.json", "--region", "k_bidisk.json",
+        "--eps", "1e-8", "--out", "rep.json",
+    ]
+    rc, modules = _loaded_by(args, workdir)
+    assert rc == 0
+    assert "bcapprox.approx" in modules and "bcapprox.series" not in modules
+
+
+def test_public_names_resolve_on_access():
+    assert sorted(bcapprox.__all__) == _PUBLIC_NAMES
+    assert set(_PUBLIC_NAMES) <= set(dir(bcapprox))
+    namespace = {}
+    exec("from bcapprox import *", namespace)
+    assert set(_PUBLIC_NAMES) <= set(namespace)
+    assert namespace["Disk"] is bcapprox.Disk is bcapprox.regions.Disk
+
+
+def test_process_entry_keeps_the_collector_out(workdir):
+    # the one-shot entry runs the command with the collector off and freezes
+    # every tracked object before exit, so shutdown's full pass walks none
+    args = ["eval", "--series", "koebe.json", "--at", "0.5", "--out", "v.json"]
+    rc, _, enabled, frozen = _child_state(_RUN_ENTRY, args, workdir)
+    assert (rc, enabled) == (0, False)
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_main_leaves_the_collector_as_it_found_it(workdir, enabled):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        args = ["verify", "--series", str(workdir / "koebe.json"), "--bieberbach",
+                "--out", str(workdir / "v.json")]
+        assert cli.main(args) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
