@@ -108,7 +108,6 @@ _EXPORTS = {
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "jsonio"}
 
 __all__ = sorted(_ORIGIN)
 __version__ = "0.1.0"
@@ -118,7 +117,7 @@ def __getattr__(name: str):
     # a name found here is bound in the package, so this runs once per name
     if name in _ORIGIN:
         value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
-    elif name in _SUBMODULES:
+    elif name in _EXPORTS:  # a submodule, an attribute as when all loaded eagerly
         value = importlib.import_module(f".{name}", __name__)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -127,4 +126,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

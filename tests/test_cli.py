@@ -634,7 +634,6 @@ def test_approx_region_fuzz_keeps_exit_contract(tmp_path_factory, data):
         assert json.loads(err.getvalue())["error"] == "input"
 
 
-
 _VAR = {"op": "var"}
 _UNIT_DISK_JSON = Disk(0, 1.0).to_json()
 
