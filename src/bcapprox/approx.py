@@ -30,12 +30,16 @@ the budget it was given.
 Fit and validation samples lie on the boundary alone.  f - R is holomorphic
 on a neighbourhood of K, so by the maximum-modulus principle its sup over K
 is its sup over the boundary, and interior points could never raise the
-error.  The loop gates on the fit sample; an exported step is accepted only
-if it meets eps on a validation sample four times denser, and that per-slot
-sup norm is the reported error; the pair of slot sup errors is the
-hyperbolic sup error of the bicomplex approximant.  Boundary points are
-equispaced by arclength, so a fit depends on its inputs alone, and fitting
-a slot never looks at the other slot.
+error.  A slot draws one sample: the validation points, four per fit point
+on every curve, and the fit points are every fourth of them, so f is
+evaluated once per validation point.  Slots without poles size it from the
+column budget; slots with poles from their moment targets, doubling it as
+the columns outgrow it.  The loop gates on the fit sample; an exported step
+is screened on the fit points and accepted only if it meets eps on the
+whole validation sample, and that per-slot sup norm is the reported error;
+the pair of slot sup errors is the hyperbolic sup error of the bicomplex
+approximant.  Boundary points are equispaced by arclength, so a fit depends
+on its inputs alone, and fitting a slot never looks at the other slot.
 """
 
 from __future__ import annotations
@@ -86,7 +90,12 @@ class PoleTerm:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> PoleTerm:
+    def from_json(obj: dict, where: str = "pole term") -> PoleTerm:
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"{where} must be an object with location, order and coeffs, "
+                f"got {type(obj).__name__}"
+            )
         order = _read_int(obj["order"], "pole term order")
         coeffs = tuple(_pair_to_complex(c) for c in obj["coeffs"])
         if order != len(coeffs):
@@ -139,12 +148,22 @@ class SlotRational:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> SlotRational:
+    def from_json(obj: dict, where: str = "slot rational") -> SlotRational:
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"{where} must be an object with center, scale, poly and poles, "
+                f"got {type(obj).__name__}"
+            )
+        for key in ("poly", "poles"):
+            if not isinstance(obj[key], list):
+                raise ValueError(f"{where}.{key} must be a list, got {type(obj[key]).__name__}")
         return SlotRational(
             _pair_to_complex(obj["center"]),
             float(obj["scale"]),
             tuple(_pair_to_complex(c) for c in obj["poly"]),
-            tuple(PoleTerm.from_json(b) for b in obj["poles"]),
+            tuple(
+                PoleTerm.from_json(b, f"{where}.poles[{i}]") for i, b in enumerate(obj["poles"])
+            ),
         )
 
 
@@ -190,8 +209,13 @@ class BicomplexRational:
 
     @staticmethod
     def from_json(obj: dict) -> BicomplexRational:
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"rational: expected an object with keys r1 and r2, got {type(obj).__name__}"
+            )
         return BicomplexRational(
-            SlotRational.from_json(obj["r1"]), SlotRational.from_json(obj["r2"])
+            SlotRational.from_json(obj["r1"], "rational r1"),
+            SlotRational.from_json(obj["r2"], "rational r2"),
         )
 
 
@@ -230,12 +254,14 @@ def _fvals(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: str):
+def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: tuple):
     """Classical Gram-Schmidt of v against the orthonormal rows of basis,
     repeated only when the first pass kept less than 0.7 of v's norm (Daniel,
     Gragg, Kaufman & Stewart 1976), so a column near collapse is tested after
     two passes.  Returns the projection coefficients h, the remaining norm and
-    the new unit row: v = h @ basis + norm * row.  v is conjugated, not basis."""
+    the new unit row: v = h @ basis + norm * row.  v is conjugated, not basis.
+    The parts of ``what`` name the column; they are joined only when a
+    collapse is raised."""
     ref = math.sqrt(np.vdot(v, v).real)
     h = (basis @ v.conj()).conj()
     v = v - h @ basis
@@ -246,7 +272,8 @@ def _orthonormalize(basis: np.ndarray, v: np.ndarray, what: str):
         nrm = math.sqrt(np.vdot(v, v).real)
     if nrm <= 1e-14 * max(ref, 1e-300):
         raise IllConditionedError(
-            f"orthogonalization collapsed at {what}; the sample set cannot resolve it"
+            f"orthogonalization collapsed at {' '.join(map(str, what))}; "
+            "the sample set cannot resolve it"
         )
     return h, nrm, v / nrm
 
@@ -264,16 +291,16 @@ def _moment_bounds(f, curve, a: complex, top: int, eps: float, outer: bool = Fal
     and has no singularity outside the curve.
 
     A moment counts only if the n- and 2n-node rules of ``curve.rule`` agree
-    to 1e-3 relative, it stands clear of rounding (above 1e-10 of max |f| at
-    the nodes times its denominator, a hundred times the rounding of a sum of
-    some thousand terms) and f is finite at every node; otherwise L_j = 0,
-    the trivial bound.  An n-node rule tests j < n only.  From (32, 64) the
-    rules double while the highest j with L_j > eps lies within 8 of the
-    highest j tested, until ``top`` is tested; each doubled pair reuses
-    the previous fine rule and f's values on it.  The powers are a running
-    product of x = (z-a)/s, or s/(z-a) on the outer curve, with s the largest
-    or smallest |z-a| at the nodes: no factor exceeds 1 in modulus, so no
-    power overflows, and L_j does not depend on s.
+    to 1e-3 relative, it stands clear of its own rounding (the sum exceeds
+    1e3 u times the sum of its terms' moduli, u = 2^-53) and f is finite at
+    every node; otherwise L_j = 0, the trivial bound.  An n-node rule tests
+    j < n only.  From (32, 64) the rules double while the highest j with
+    L_j > eps lies within 8 of the highest j tested, until ``top`` is
+    tested; each doubled pair reuses the previous fine rule and f's values
+    on it.  The powers are a running product of x = (z-a)/s, or s/(z-a) on
+    the outer curve, with s the largest or smallest |z-a| at the nodes: no
+    factor exceeds 1 in modulus, so no power overflows, and L_j does not
+    depend on s.
     """
     n = 32
     zc, wc = curve.rule(n)
@@ -302,8 +329,10 @@ def _moment_bounds(f, curve, a: complex, top: int, eps: float, outer: bool = Fal
                 xb, b = xb * xb, e
             fine = powers[:, nc:] @ vals[nc:]
             diff, fine = np.abs(fine - powers[:, :nc] @ vals[:nc]), np.abs(fine)
-            bounds = fine / np.abs(powers[:, nc:]).sum(axis=1)
-            counted = (diff <= 1e-3 * fine) & (bounds > 1e-10 * np.max(np.abs(vals[nc:])))
+            size = np.abs(powers[:, nc:])
+            bounds = fine / size.sum(axis=1)
+            # the sum's own rounding: u = 2^-53 times the sum of its terms' moduli
+            counted = (diff <= 1e-3 * fine) & (fine > 1e3 * 2.0**-53 * (size @ np.abs(vals[nc:])))
             bounds = np.where(counted, bounds, 0.0)
             above = np.flatnonzero(bounds > eps)
             resolved = jmax == top or not len(above) or above[-1] < jmax - 8
@@ -326,9 +355,10 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     docstring).  It works on the fit sample alone: each added column costs
     one projection coefficient and one update of the residual f - Q @ coef,
     whose sup is the step's trace error.  A step whose residual reaches eps
-    is exported and accepted when the export meets eps on the validation
-    sample, the error it reports; an exhausted budget, or a basis collapse
-    after step 0, exports the step with the lowest residual.
+    is exported; the export is screened on the fit points, which are
+    validation points, and accepted when it meets eps on the whole
+    validation sample, the error it reports.  An exhausted budget, or a
+    basis collapse after step 0, exports the step with the lowest residual.
 
     Each group first grows to its target: the degree to the highest j whose
     outer moment bound exceeds eps, each pole to one above the highest j
@@ -337,33 +367,45 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     A fit with no poles on a region with holes runs step 0 only when a j = 0
     hole bound, which every polynomial obeys, exceeds 2 eps; the slot ends
     not achieved there, and its note names the hole and the bound.
+
+    The validation sample holds four points per fit point on every curve,
+    and the fit points are every fourth of them, so f is evaluated once per
+    validation point.  A given ``n_boundary`` fixes the fit sample's size.
+    Otherwise a slot without poles has max(240, 6 columns) fit points for
+    its whole column budget, split among the curves by arclength, and a
+    slot with poles starts at 6 points per column of its targets plus 4
+    columns of headroom: when a step would take the columns past a sixth of
+    the fit points, every curve's count doubles, up to the budget's size,
+    and the steps so far rerun on the new sample with the same targets.
     """
     _check_budget(eps, max_degree)
     caps = [cap for _, cap in poles]
     ncols = max_degree + 1 + sum(caps)
-    if n_boundary is None:
+    fixed = n_boundary is not None
+    if not fixed:
         n_boundary = max(240, 6 * ncols)
     curves = region.boundary_curves()
     lengths = [c.length for c in curves]
-    m = sum(_allocate_boundary(lengths, n_boundary))
-    mv = sum(_allocate_boundary(lengths, 4 * n_boundary))
-    if m < ncols + 1:
+    full = _allocate_boundary(lengths, n_boundary)
+    m_full = sum(full)
+    if m_full < ncols + 1:
         raise IllConditionedError(
-            f"{m} samples cannot support an orthonormal basis of degree {max_degree} "
+            f"{m_full} samples cannot support an orthonormal basis of degree {max_degree} "
             f"with pole orders {tuple(caps)}"
         )
-    # One basis column per row: np.empty reserves the whole budget, but only
-    # the rows written get pages, so a fit pays for the columns it added; a
-    # budget too large for memory fails here, before any sample is drawn.
-    # Row k of T holds q_fit[k]'s coefficients in the raw columns: w^0 ..
-    # w^max_degree, then each pole's (z-p)^-1 .. (z-p)^-cap.
+    # One basis column per row, on as many points as the sample in use has:
+    # np.empty reserves the whole budget, but only the rows written get
+    # pages, so a fit pays for the columns it added; a budget too large for
+    # memory fails here, before any sample is drawn.  Row k of T holds
+    # column k's coefficients in the raw columns: w^0 .. w^max_degree, then
+    # each pole's (z-p)^-1 .. (z-p)^-cap.
     try:
-        q_fit = np.empty((ncols, m), dtype=complex)
+        q_buf = np.empty(ncols * m_full, dtype=complex)
         T = np.zeros((ncols, ncols), dtype=complex)
     except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
         raise DomainError(
             f"degree budget max_degree={max_degree} with pole orders {tuple(caps)} needs "
-            f"{ncols} basis columns on {m} samples; its work buffers cannot be allocated"
+            f"{ncols} basis columns on {m_full} samples; its work buffers cannot be allocated"
         ) from exc
     coef = np.empty(ncols, dtype=complex)
     offsets = [max_degree + 1 + sum(caps[:j]) for j in range(len(caps))]
@@ -371,6 +413,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     # the targets each group grows to on its own, before all grow to their caps
     top_d, need_d, needs = max_degree, 0, []
     stop, notes = "degree/order budget exhausted", []
+    counts = full
     if not poles:
         # Cauchy: every polynomial integrates to 0 around a hole, so f's
         # integral bounds sup |f - p| from below for all of them at once
@@ -394,82 +437,113 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
             if need > cap:
                 notes.append(f"hole {hole} needs pole order ≥ {need} at {p}; cap is {cap}")
             needs.append(min(max(need, 1), cap))
+        if not fixed:
+            sized = _allocate_boundary(lengths, 6 * (need_d + 1 + sum(needs) + 4))
+            if sum(sized) < m_full:
+                counts = sized
+    targets = need_d, needs
 
-    zf = sample_region(region, n_boundary).boundary
-    zv = sample_region(region, 4 * n_boundary).boundary
-    f_fit, f_val = _fvals(f, zf), _fvals(f, zv)
-    w = (zf - center) / scale
-    # 1/(z - p) per pole and the latest raw pole column: order t+1 = order t * u
-    u = [1.0 / (zf - p) for p, _ in poles]
-    raw = [np.ones(m, dtype=complex) for _ in poles]
-    resid = f_fit.copy()
-
-    def unit(i):
-        return (np.arange(ncols) == i).astype(complex)
-
-    def times_w(a):
+    def times_w(a, out):
         # raw coefficients of w times a column: powers of w move up by one,
         # and w (z-p)^-m = ((z-p)^-(m-1) + (p - center) (z-p)^-m) / scale
-        out = np.zeros(ncols, dtype=complex)
+        out.fill(0)
         out[1 : max_degree + 1] = a[:max_degree]
         for (p, cap), o in zip(poles, offsets):
             b = a[o : o + cap] / scale
             out[o : o + cap] += (p - center) * b
             out[o : o + cap - 1] += b[1:]
             out[0] += b[0]
-        return out
 
-    def export(k, d, orders) -> tuple[SlotRational, float]:
-        a = [complex(c) for c in coef[:k] @ T[:k]]
+    def export(k, d, orders) -> SlotRational:
+        a = (coef[:k] @ T[:k]).tolist()
         pairs = zip(poles, orders, offsets)
         blocks = tuple(PoleTerm(p, o, tuple(a[i : i + o])) for (p, _), o, i in pairs)
-        sr = SlotRational(center, scale, tuple(a[: d + 1]), blocks)
-        return sr, float(np.max(np.abs(f_val - sr(zv))))
+        return SlotRational(center, scale, tuple(a[: d + 1]), blocks)
 
-    samples = {"n_boundary": m, "n_validation_boundary": mv}
-    trace: list[tuple[int, tuple[int, ...], float]] = []
-    best = (math.inf, 0, 0, ())
-    k = last = 0
-    d, orders = -1, [0] * len(poles)
-    try:
-        while True:
-            if d >= need_d and orders == needs:
-                if need_d == top_d and needs == caps:
-                    break  # every group at its cap
-                need_d, needs = top_d, caps  # every group at its target: grow jointly
-            new = []
-            if d < need_d:
-                # degree d is w times the orthonormal degree-(d-1) row `last`
-                d += 1
-                col = w * q_fit[last] if d else np.ones(m, dtype=complex)
-                new.append((col, times_w(T[last]) if d else unit(0), f"degree {d}"))
-                last = k
-            for j, (p, _) in enumerate(poles):
-                if orders[j] < needs[j]:
-                    raw[j] *= u[j]
-                    orders[j] += 1
-                    base = unit(offsets[j] + orders[j] - 1)
-                    new.append((raw[j], base, f"pole order {orders[j]} at {p}"))
-            for col, base, what in new:
-                h, nrm, q_fit[k] = _orthonormalize(q_fit[:k], col, what)
-                T[k] = (base - h @ T[:k]) / nrm
-                coef[k] = np.vdot(q_fit[k], f_fit)
-                resid -= coef[k] * q_fit[k]
-                k += 1
-            err = float(np.max(np.abs(resid)))
-            trace.append((d, tuple(orders), err))
-            if err < best[0]:
-                best = (err, k, d, tuple(orders))
-            if err <= eps:
-                sr, true_err = export(k, d, orders)
-                if true_err <= eps:
-                    return SlotFit(sr, true_err, d, tuple(orders), True, tuple(trace), samples)
-    except IllConditionedError as exc:
-        if not trace:
-            raise
-        stop = str(exc)  # a collapse after step 0 ends the fit at its best step
+    def add(col, what, unit=None):
+        # column k: row k of T holds its raw coefficients, written in place
+        # from the unit raw column ``unit`` or, for a degree column, from
+        # times_w before this call
+        row = T[k]
+        if unit is not None:
+            row.fill(0)
+            row[unit] = 1
+        h, nrm, q_fit[k] = _orthonormalize(q_fit[:k], col, what)
+        np.subtract(row, h @ T[:k], out=row)
+        np.divide(row, nrm, out=row)
+        coef[k] = np.vdot(q_fit[k], f_fit)
+        np.subtract(resid, coef[k] * q_fit[k], out=resid)
+
+    while True:
+        zv = sample_region(region, [4 * c for c in counts]).boundary
+        f_val = _fvals(f, zv)
+        # contiguous copies: a fit sample that is one curve's whole sample
+        # keeps the bits it has when drawn on its own
+        zf, f_fit = zv[::4].copy(), f_val[::4].copy()
+        m = len(zf)
+        q_fit = q_buf[: ncols * m].reshape(ncols, m)
+        w = (zf - center) / scale
+        # 1/(z - p) per pole and the latest raw pole column: order t+1 = order t * u
+        u = [1.0 / (zf - p) for p, _ in poles]
+        raw = [np.ones(m, dtype=complex) for _ in poles]
+        resid = f_fit.copy()
+        samples = {"n_boundary": m, "n_validation_boundary": 4 * m}
+        trace: list[tuple[int, tuple[int, ...], float]] = []
+        best = (math.inf, 0, 0, ())
+        k = last = 0
+        d, orders = -1, [0] * len(poles)
+        need_d, needs = targets
+        grow = False
+        try:
+            while True:
+                if d >= need_d and orders == needs:
+                    if need_d == top_d and needs == caps:
+                        break  # every group at its cap
+                    need_d, needs = top_d, caps  # every group at its target: grow jointly
+                added = (d < need_d) + sum(o < t for o, t in zip(orders, needs))
+                grow = 6 * (k + added) > m and m < m_full
+                if grow:
+                    break
+                if d < need_d:
+                    # degree d is w times the orthonormal degree-(d-1) row `last`
+                    d += 1
+                    if d:
+                        times_w(T[last], T[k])
+                        add(w * q_fit[last], ("degree", d))
+                    else:
+                        add(np.ones(m, dtype=complex), ("degree", 0), 0)
+                    last, k = k, k + 1
+                for j, (p, _) in enumerate(poles):
+                    if orders[j] < needs[j]:
+                        raw[j] *= u[j]
+                        orders[j] += 1
+                        add(raw[j], ("pole order", orders[j], "at", p), offsets[j] + orders[j] - 1)
+                        k += 1
+                err = float(np.abs(resid).max())
+                trace.append((d, tuple(orders), err))
+                if err < best[0]:
+                    best = (err, k, d, tuple(orders))
+                # the fit points are validation points: an export that misses
+                # eps on them cannot pass on the whole validation sample
+                if err <= eps:
+                    sr = export(k, d, orders)
+                    if np.abs(f_fit - sr(zf)).max() <= eps:
+                        val_err = float(np.abs(f_val - sr(zv)).max())
+                        if val_err <= eps:
+                            orders = tuple(orders)
+                            return SlotFit(sr, val_err, d, orders, True, tuple(trace), samples)
+        except IllConditionedError as exc:
+            if not trace:
+                raise
+            stop = str(exc)  # a collapse after step 0 ends the fit at its best step
+        if not grow:
+            break
+        counts = [2 * c for c in counts]
+        if sum(counts) >= m_full:
+            counts = full
     _, k, d, orders = best
-    sr, err = export(k, d, orders)
+    sr = export(k, d, orders)
+    err = float(np.abs(f_val - sr(zv)).max())
     raise DegreeExceededError(
         f"{'; '.join([stop, *notes])}; best sup error {err:.3e} > {eps:.3e}",
         SlotFit(sr, err, d, orders, False, tuple(trace), samples),

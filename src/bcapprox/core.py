@@ -236,15 +236,20 @@ class Bicomplex:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> Bicomplex:
+    def from_json(obj: dict, where: str = "bicomplex") -> Bicomplex:
         """Read either the idempotent form {"b1", "b2"} or the cartesian
-        form {"z1", "z2"}."""
-        return Bicomplex(*idempotent_pair_from_json(obj))
+        form {"z1", "z2"}; ``where`` names a node that is not an object."""
+        return Bicomplex(*idempotent_pair_from_json(obj, where))
 
 
-def idempotent_pair_from_json(obj: dict) -> tuple[complex, complex]:
+def idempotent_pair_from_json(obj: dict, where: str = "bicomplex") -> tuple[complex, complex]:
     """The idempotent pair (beta1, beta2) of a bicomplex JSON object in
-    either accepted form, without building a :class:`Bicomplex`."""
+    either accepted form, without building a :class:`Bicomplex`; ``where``
+    names the node in the message that refuses one which is not an object."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"{where} must be an object with keys b1/b2 or z1/z2, got {type(obj).__name__}"
+        )
     if "b1" in obj and "b2" in obj:
         return (_pair_to_complex(obj["b1"]), _pair_to_complex(obj["b2"]))
     if "z1" in obj and "z2" in obj:

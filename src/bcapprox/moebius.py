@@ -75,7 +75,11 @@ class MoebiusMap:
 
     @staticmethod
     def from_json(obj: dict) -> MoebiusMap:
-        return moebius_new(*(Bicomplex.from_json(obj[k]) for k in ("A", "B", "C", "D")))
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"moebius: expected an object with keys A, B, C and D, got {type(obj).__name__}"
+            )
+        return moebius_new(*(Bicomplex.from_json(obj[k], f"moebius {k}") for k in "ABCD"))
 
 
 def moebius_new(a: Bicomplex, b: Bicomplex, c: Bicomplex, d: Bicomplex) -> MoebiusMap:

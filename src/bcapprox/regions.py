@@ -429,12 +429,16 @@ def _allocate_boundary(lengths: list[float], total: int) -> list[int]:
     return counts
 
 
-def sample_region(region: PlanarRegion, n_boundary: int) -> RegionSamples:
+def sample_region(region: PlanarRegion, n_boundary: int | list[int]) -> RegionSamples:
     """Points equispaced by arclength on every boundary curve of the region,
-    holes included, split among the curves by ``_allocate_boundary``."""
-    if n_boundary < _MIN_PER_CURVE:
-        raise DomainError(f"need at least {_MIN_PER_CURVE} boundary samples")
+    holes included, split among the curves by ``_allocate_boundary``, or
+    given per curve, outer curve first, as a list of counts."""
     curves = region.boundary_curves()
-    counts = _allocate_boundary([c.length for c in curves], n_boundary)
+    if isinstance(n_boundary, list):
+        counts = n_boundary
+    elif n_boundary < _MIN_PER_CURVE:
+        raise DomainError(f"need at least {_MIN_PER_CURVE} boundary samples")
+    else:
+        counts = _allocate_boundary([c.length for c in curves], n_boundary)
     chunks = [c.point_at(np.arange(m) / m) for c, m in zip(curves, counts)]
     return RegionSamples(np.concatenate(chunks))

@@ -107,14 +107,27 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(obj: dict) -> TruncatedSeries:
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"series: expected an object with keys kind and coeffs, got {type(obj).__name__}"
+            )
         kind = obj["kind"]
         if kind not in (KIND_POWER, KIND_LAURENT):
             raise ValueError(f"unknown series kind {kind!r}")
         coeffs = obj["coeffs"]
+        if not isinstance(coeffs, list):
+            raise ValueError(f"series coeffs must be a list, got {type(coeffs).__name__}")
         # one flat pass into the array: no per-coefficient container outlives
         # its step, which keeps large files from feeding the cyclic collector
         flat = chain.from_iterable(map(idempotent_pair_from_json, coeffs))
-        s = _series(kind, np.fromiter(flat, complex, 2 * len(coeffs)).reshape(-1, 2).T)
+        try:
+            slots = np.fromiter(flat, complex, 2 * len(coeffs))
+        except ValueError:
+            # read again one by one, so that the fault is named by its place
+            for i, c in enumerate(coeffs):
+                idempotent_pair_from_json(c, f"series coeffs[{i}]")
+            raise
+        s = _series(kind, slots.reshape(-1, 2).T)
         if "N" in obj and _read_int(obj["N"], "series N") != s.order:
             raise ValueError(
                 f"declared order {obj['N']} does not match {len(coeffs)} coefficients"

@@ -217,6 +217,107 @@ _TWO_HOLES = PolygonWithHoles(
 )
 
 
+def test_fit_points_are_every_fourth_validation_point(monkeypatch):
+    # one sample per slot: sample_region runs once, f runs once on it, and
+    # the fit sample is its every fourth point, on every curve
+    center, poles = 0.3 + 0.1j, [(0.4 + 0.1j, 30)]
+    region = Annulus(center, 0.5, 1.0)
+    g = exp(var()) + Div(Const(1), var() - poles[0][0])
+    sample, drawn, seen = approx_module.sample_region, [], []
+
+    def sampled(region, n_boundary):
+        out = sample(region, n_boundary)
+        drawn.append(out.boundary)
+        return out
+
+    def f(z):
+        seen.append(z)
+        return g.evaluate(z)
+
+    monkeypatch.setattr(approx_module, "sample_region", sampled)
+    fit = fit_rational_slot(f, region, poles, 1e-10, 40)
+    assert fit.achieved and len(drawn) == 1
+    zv = drawn[0]
+    m = fit.samples["n_boundary"]
+    assert len(zv) == fit.samples["n_validation_boundary"] == 4 * m
+    # f's other calls are the moments' contour rules
+    assert sum(np.array_equal(z, zv) for z in seen) == 1
+    assert not any(len(z) == m for z in seen)
+    # each curve holds four validation points per fit point
+    outer = int(np.sum(np.abs(np.abs(zv - center) - 1.0) < 1e-9))
+    assert outer % 4 == 0
+    zf = zv[::4]
+    assert np.array_equal(zf, sample_region(region, [outer // 4, m - outer // 4]).boundary)
+    # the last step's error is the least-squares residual on those points
+    c, scale = region.center_scale()
+    d, orders, err = fit.trace[-1]
+    cols = [_hessenberg_columns((zf - c) / scale, d)]
+    cols += [np.stack([(zf - p) ** -j for j in range(1, o + 1)], axis=1)
+             for (p, _), o in zip(poles, orders)]
+    a = np.hstack(cols)
+    a = a / np.linalg.norm(a, axis=0)
+    ff = g.evaluate(zf)
+    coef, *_ = np.linalg.lstsq(a, ff, rcond=None)
+    assert err == pytest.approx(float(np.max(np.abs(ff - a @ coef))), rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "region, poles, f, eps",
+    [
+        (Annulus(0.3 + 0.1j, 0.5, 1.0), [(0.4 + 0.1j, 30)],
+         exp(3 * var()) + Div(Const(1), var() - (0.4 + 0.1j)), 1e-12),
+        (_TWO_HOLES, [(-1, 30), (0.9, 30)], exp(var()) + Div(Const(1), var() + 1), 1e-10),
+    ],
+    ids=["annulus", "polygon-two-holes"],
+)
+def test_sample_grows_past_its_moment_targets(monkeypatch, region, poles, f, eps):
+    # the moments ask for fewer columns than the fit needs: the sample
+    # doubles on every curve and the steps rerun, ending where a fit on the
+    # budget-sized sample ends
+    sample, drawn = approx_module.sample_region, []
+
+    def sampled(region, n_boundary):
+        drawn.append(list(n_boundary))
+        return sample(region, n_boundary)
+
+    monkeypatch.setattr(approx_module, "sample_region", sampled)
+    fit = fit_rational_slot(f, region, poles, eps, 40)
+    budget = max(240, 6 * (40 + 1 + sum(cap for _, cap in poles)))
+    full = fit_rational_slot(f, region, poles, eps, 40, n_boundary=budget)
+    assert len(drawn) >= 2 and drawn[1] == [2 * c for c in drawn[0]]
+    assert fit.samples["n_boundary"] < full.samples["n_boundary"]
+    assert 6 * (fit.degree + 1 + sum(fit.pole_orders)) <= fit.samples["n_boundary"]
+    assert fit.achieved and full.achieved
+    assert (fit.degree, fit.pole_orders) == (full.degree, full.pole_orders)
+    assert len(fit.trace) == len(full.trace)
+
+
+def test_exports_are_screened_on_the_fit_points(monkeypatch):
+    # exp(16z) on a 2 x 0.02 rectangle: steps that reach eps on the fit
+    # sample export a monomial form that misses it; the fit points show
+    # that, and only the best step's export runs on the validation sample
+    region = Polygon((-1 - 0.01j, 1 - 0.01j, 1 + 0.01j, -1 + 0.01j))
+    f = exp(16 * var())
+    call, sizes = SlotRational.__call__, []
+
+    def counted(self, z):
+        sizes.append(len(z))
+        return call(self, z)
+
+    monkeypatch.setattr(SlotRational, "__call__", counted)
+    with pytest.raises(DegreeExceededError) as exc:
+        fit_polynomial_slot(f, region, 1e-8, 40)
+    best = exc.value.best
+    screened = sum(err <= 1e-8 for _, _, err in best.trace)
+    assert screened >= 4
+    assert sizes == [best.samples["n_boundary"]] * screened + [
+        best.samples["n_validation_boundary"]
+    ]
+    zv = sample_region(region, best.samples["n_validation_boundary"]).boundary
+    assert best.sup_error == float(np.max(np.abs(f.evaluate(zv) - call(best.approximant, zv))))
+
+
+
 @pytest.mark.parametrize(
     "region, poles, f",
     [
@@ -390,7 +491,7 @@ def test_entire_function_fit_is_untouched_by_the_hole_bound(monkeypatch, region,
     )
     assert with_bound == fit()
     if isinstance(region, PolygonWithHoles) and a < 16:
-        assert with_bound.achieved and 25 <= with_bound.degree <= 52
+        assert with_bound.achieved and 25 <= with_bound.degree <= 53
 
 
 def test_double_pole_runs_the_full_budget():
@@ -464,9 +565,10 @@ def test_hole_moments_are_laurent_coefficients(k, offset):
 
 
 def test_moment_rules_double_until_the_needed_order_resolves():
-    # 1/(z - 0.03) about the centre of a 0.05 hole needs order 50 at eps
+    # 1/(z - 0.03) about the centre of a 0.05 hole needs order 51 at eps
     # 1e-10; the 32/64 rules test j <= 31 only, where the bound still exceeds
-    # eps, so the rules double, and the 64/128 rules count it to j = 43
+    # eps, so the rules double, and the 64/128 rules count it to j = 50, the
+    # last j whose closed form 0.6^j / 0.05 exceeds eps
     hole = Annulus(0j, 0.05, 1.0).boundary_curves()[1]
     f = Div(Const(1), Var() - 0.03)
     sizes = []
@@ -480,7 +582,7 @@ def test_moment_rules_double_until_the_needed_order_resolves():
     assert sizes == [32, 64, 128]
     assert np.array_equal(bounds, approx_module._moment_bounds(f, hole, 0j, 80, 1e-10))
     above = np.flatnonzero(bounds > 1e-10)
-    assert 40 <= above[-1] < 50
+    assert above[-1] == max(j for j in range(81) if 0.6**j / 0.05 > 1e-10)
     for j in above:
         assert bounds[j] == pytest.approx(0.6**j / 0.05, rel=1e-6)
 
@@ -773,12 +875,13 @@ def test_pole_clearance_is_the_exact_boundary_distance(offset):
 
 
 def test_report_samples_are_the_counts_each_slot_used():
-    # the two slots size their samples by their own column budgets
+    # the polynomial slot sizes its sample by its column budget, the slot
+    # with a pole by its moment targets: 6 (15 + 1 + 1 + 4) points
     func = FunctionSpec(var(), exp(var()))
     _, report = approximate(func, ProductCompact(UNIT_DISK, ANNULUS), 1e-8)
     assert report.samples == {
         "slot1": {"n_boundary": 246, "n_validation_boundary": 984},
-        "slot2": {"n_boundary": 486, "n_validation_boundary": 1944},
+        "slot2": {"n_boundary": 126, "n_validation_boundary": 504},
     }
     assert report.samples["slot1"] == fit_polynomial_slot(var(), UNIT_DISK, 1e-8, 40).samples
 

@@ -1143,6 +1143,43 @@ def test_eval_rational_pole_order_differs_from_coeffs_exit2(workdir, order, ncoe
     assert json.loads(r.stderr) == {"error": "input", "detail": detail}
 
 
+_SLOT = {"center": [0, 0], "scale": 1.0, "poly": [[1, 0]], "poles": []}
+_ONE = {"b1": [1, 0], "b2": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "flag, obj, detail",
+    [
+        ("--rational", {"r1": [1, 2], "r2": _SLOT},
+         "rational r1 must be an object with center, scale, poly and poles, got list"),
+        ("--rational", {"r1": _SLOT, "r2": dict(_SLOT, poles=[[0, 1]])},
+         "rational r2.poles[0] must be an object with location, order and coeffs, got list"),
+        ("--rational", [1, 2], "rational: expected an object with keys r1 and r2, got list"),
+        ("--rational", {"r1": dict(_SLOT, poly=5), "r2": _SLOT},
+         "rational r1.poly must be a list, got int"),
+        ("--moebius", [1, 2], "moebius: expected an object with keys A, B, C and D, got list"),
+        ("--moebius", {"A": _ONE, "B": 5, "C": _ONE, "D": [1, 2]},
+         "moebius B must be an object with keys b1/b2 or z1/z2, got int"),
+        ("--series", [1, 2, 3], "series: expected an object with keys kind and coeffs, got list"),
+        ("--series", {"kind": "power-F", "coeffs": [{"b1": [0, 0], "b2": [0, 0]}, _ONE, 5]},
+         "series coeffs[2] must be an object with keys b1/b2 or z1/z2, got int"),
+        ("--series", {"kind": "power-F", "coeffs": 5}, "series coeffs must be a list, got int"),
+    ],
+    ids=[
+        "rational-r1-list", "rational-pole-list", "rational-list", "rational-poly-number",
+        "moebius-list", "moebius-coefficient-number", "series-list", "series-coefficient-number",
+        "series-coeffs-number",
+    ],
+)
+def test_eval_input_shape_refused_by_place_exit2(workdir, flag, obj, detail):
+    # each of these was Python's own wording: "list indices must be integers
+    # or slices, not str" or "argument of type 'int' is not iterable"
+    jsonio.dump_path(obj, workdir / "bad.json")
+    r = run_cli(["eval", flag, "bad.json", "--at", "0.5"], workdir)
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr) == {"error": "input", "detail": detail}
+
+
 def _main(argv):
     """cli.main in this process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
