@@ -438,6 +438,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
                 notes.append(f"hole {hole} needs pole order ≥ {need} at {p}; cap is {cap}")
             needs.append(min(max(need, 1), cap))
         if not fixed:
+            # 4 columns of headroom: fits run a few columns past their targets
             sized = _allocate_boundary(lengths, 6 * (need_d + 1 + sum(needs) + 4))
             if sum(sized) < m_full:
                 counts = sized
@@ -535,7 +536,9 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
         except IllConditionedError as exc:
             if not trace:
                 raise
-            stop = str(exc)  # a collapse after step 0 ends the fit at its best step
+            grow = m < m_full  # a larger sample may resolve the column
+            if not grow:
+                stop = str(exc)  # a collapse after step 0 ends the fit at its best step
         if not grow:
             break
         counts = [2 * c for c in counts]

@@ -292,6 +292,20 @@ def test_sample_grows_past_its_moment_targets(monkeypatch, region, poles, f, eps
     assert len(fit.trace) == len(full.trace)
 
 
+def test_collapse_grows_the_sample_before_it_ends_the_fit():
+    # the 0.05 hole's pole columns collapse at order 29 on the sample its
+    # moments size; the fit grows to the budget sample and ends as a fit
+    # drawn there from the start, collapsing at order 35
+    f = exp(var()) + Div(Const(1), Var() - 0.03)
+    region, poles = Annulus(0j, 0.05, 1.0), [(0j, 40)]
+    with pytest.raises(DegreeExceededError) as grown:
+        fit_rational_slot(f, region, poles, 1e-10, 40)
+    with pytest.raises(DegreeExceededError) as full:
+        fit_rational_slot(f, region, poles, 1e-10, 40, n_boundary=6 * 81)
+    assert "collapsed at pole order 35" in str(grown.value)
+    assert str(grown.value) == str(full.value) and grown.value.best == full.value.best
+
+
 def test_exports_are_screened_on_the_fit_points(monkeypatch):
     # exp(16z) on a 2 x 0.02 rectangle: steps that reach eps on the fit
     # sample export a monomial form that misses it; the fit points show
