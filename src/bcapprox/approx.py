@@ -469,11 +469,12 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
         if unit is not None:
             row.fill(0)
             row[unit] = 1
-        h, nrm, q_fit[k] = _orthonormalize(q_fit[:k], col, what)
-        np.subtract(row, h @ T[:k], out=row)
-        np.divide(row, nrm, out=row)
-        coef[k] = np.vdot(q_fit[k], f_fit)
-        np.subtract(resid, coef[k] * q_fit[k], out=resid)
+        h, nrm, q = _orthonormalize(q_fit[:k], col, what)
+        q_fit[k] = q
+        row -= h @ T[:k]
+        row /= nrm
+        coef[k] = c = np.vdot(q, f_fit)
+        np.subtract(resid, c * q, out=resid)
 
     while True:
         zv = sample_region(region, [4 * c for c in counts]).boundary
