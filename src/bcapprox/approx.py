@@ -375,8 +375,9 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     its whole column budget, split among the curves by arclength, and a
     slot with poles starts at 6 points per column of its targets plus 4
     columns of headroom: when a step would take the columns past a sixth of
-    the fit points, every curve's count doubles, up to the budget's size,
-    and the steps so far rerun on the new sample with the same targets.
+    the fit points, or the basis collapses, every curve's count doubles, up
+    to the budget's size, and the steps so far rerun on the new sample with
+    the same targets.
     """
     _check_budget(eps, max_degree)
     caps = [cap for _, cap in poles]
