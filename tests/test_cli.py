@@ -1180,6 +1180,41 @@ def test_eval_input_shape_refused_by_place_exit2(workdir, flag, obj, detail):
     assert json.loads(r.stderr) == {"error": "input", "detail": detail}
 
 
+_FUZZ_EVAL_FILES = [
+    ("--series", {"kind": "power-F", "coeffs": [{"b1": [0, 0], "b2": [0, 0]}, _ONE,
+                                                 {"z1": [0.5, 0], "z2": [0, 0.25]}]}),
+    ("--moebius", {"A": _ONE, "B": {"b1": [0.5, 0], "b2": [0, 1]}, "C": {"z1": [0, 0], "z2": [0.1, 0]},
+                   "D": _ONE}),
+    ("--rational", {"r1": _SLOT, "r2": dict(_SLOT, poles=[
+        {"location": [2, 0], "order": 2, "coeffs": [[1, 0], [0, 0.5]]}])}),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_eval_node_fuzz_keeps_exit_contract(tmp_path_factory, data):
+    # one whole node of a valid series, Moebius or rational file replaced by
+    # a list, a string, a number or null: the run ends in 0, 1 or 2, and no
+    # exception or warning escapes cli.main
+    flag, obj = data.draw(st.sampled_from(_FUZZ_EVAL_FILES))
+    obj = copy.deepcopy(obj)
+    path = data.draw(st.sampled_from(list(_node_paths(obj))))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(st.sampled_from([[1, 2], "exp", 3, 0.5, None]))
+    wd = tmp_path_factory.mktemp("fuzz")
+    (wd / "in.json").write_text(json.dumps(obj), encoding="ascii")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["eval", flag, str(wd / "in.json"), "--at", "0.5"])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert json.loads(err.getvalue())["error"] == "input"
+
+
 def _main(argv):
     """cli.main in this process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
