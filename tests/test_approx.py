@@ -331,7 +331,6 @@ def test_exports_are_screened_on_the_fit_points(monkeypatch):
     assert best.sup_error == float(np.max(np.abs(f.evaluate(zv) - call(best.approximant, zv))))
 
 
-
 @pytest.mark.parametrize(
     "region, poles, f",
     [
