@@ -50,7 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bicomplex, Hyperbolic, _pair_to_complex, _read_int
+from .core import (
+    Bicomplex,
+    Hyperbolic,
+    _pair_to_complex,
+    _read_float,
+    _read_int,
+    _read_node,
+    _read_pairs,
+)
 from .errors import (
     DegreeExceededError,
     DomainError,
@@ -91,18 +99,14 @@ class PoleTerm:
 
     @staticmethod
     def from_json(obj: dict, where: str = "pole term") -> PoleTerm:
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"{where} must be an object with location, order and coeffs, "
-                f"got {type(obj).__name__}"
-            )
-        order = _read_int(obj["order"], "pole term order")
-        coeffs = tuple(_pair_to_complex(c) for c in obj["coeffs"])
+        _read_node(obj, dict, where, "an object with location, order and coeffs")
+        order = _read_int(obj["order"], f"{where}.order")
+        coeffs = _read_pairs(obj["coeffs"], f"{where}.coeffs")
         if order != len(coeffs):
             raise ValueError(
                 f"pole term order {order} differs from its {len(coeffs)} coefficient(s)"
             )
-        return PoleTerm(_pair_to_complex(obj["location"]), order, coeffs)
+        return PoleTerm(_pair_to_complex(obj["location"], f"{where}.location"), order, coeffs)
 
 
 @dataclass(frozen=True)
@@ -149,21 +153,13 @@ class SlotRational:
 
     @staticmethod
     def from_json(obj: dict, where: str = "slot rational") -> SlotRational:
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"{where} must be an object with center, scale, poly and poles, "
-                f"got {type(obj).__name__}"
-            )
-        for key in ("poly", "poles"):
-            if not isinstance(obj[key], list):
-                raise ValueError(f"{where}.{key} must be a list, got {type(obj[key]).__name__}")
+        _read_node(obj, dict, where, "an object with center, scale, poly and poles")
+        poles = _read_node(obj["poles"], list, f"{where}.poles", "a list")
         return SlotRational(
-            _pair_to_complex(obj["center"]),
-            float(obj["scale"]),
-            tuple(_pair_to_complex(c) for c in obj["poly"]),
-            tuple(
-                PoleTerm.from_json(b, f"{where}.poles[{i}]") for i, b in enumerate(obj["poles"])
-            ),
+            _pair_to_complex(obj["center"], f"{where}.center"),
+            _read_float(obj["scale"], f"{where}.scale"),
+            _read_pairs(obj["poly"], f"{where}.poly"),
+            tuple(PoleTerm.from_json(b, f"{where}.poles[{i}]") for i, b in enumerate(poles)),
         )
 
 
@@ -209,10 +205,7 @@ class BicomplexRational:
 
     @staticmethod
     def from_json(obj: dict) -> BicomplexRational:
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"rational: expected an object with keys r1 and r2, got {type(obj).__name__}"
-            )
+        _read_node(obj, dict, "rational", "an object with keys r1 and r2")
         return BicomplexRational(
             SlotRational.from_json(obj["r1"], "rational r1"),
             SlotRational.from_json(obj["r2"], "rational r2"),
@@ -352,13 +345,14 @@ def _check_budget(eps: float, max_degree: int) -> None:
 
 def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     """The one escalation loop behind both slot fitters (see the module
-    docstring).  It works on the fit sample alone: each added column costs
-    one projection coefficient and one update of the residual f - Q @ coef,
-    whose sup is the step's trace error.  A step whose residual reaches eps
-    is exported; the export is screened on the fit points, which are
-    validation points, and accepted when it meets eps on the whole
-    validation sample, the error it reports.  An exhausted budget, or a
-    basis collapse after step 0, exports the step with the lowest residual.
+    docstring), over poles located by :func:`_validate_poles`.  It works on
+    the fit sample alone: each added column costs one projection coefficient
+    and one update of the residual f - Q @ coef, whose sup is the step's
+    trace error.  A step whose residual reaches eps is exported; the export
+    is screened on the fit points, which are validation points, and accepted
+    when it meets eps on the whole validation sample, the error it reports.
+    An exhausted budget, or a basis collapse after step 0, exports the step
+    with the lowest residual.
 
     Each group first grows to its target: the degree to the highest j whose
     outer moment bound exceeds eps, each pole to one above the highest j
@@ -380,7 +374,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     the same targets.
     """
     _check_budget(eps, max_degree)
-    caps = [cap for _, cap in poles]
+    caps = [cap for _, cap, _ in poles]
     ncols = max_degree + 1 + sum(caps)
     fixed = n_boundary is not None
     if not fixed:
@@ -431,8 +425,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
         if curves[0].inside(np.asarray([center]), False)[0]:
             bounds = _moment_bounds(f, curves[0], center, max_degree, eps, outer=True)
             need_d = int(max(np.flatnonzero(bounds > eps), default=0))
-        for p, cap in poles:
-            hole = region.hole_index(p)
+        for p, cap, hole in poles:
             bounds = _moment_bounds(f, curves[1 + hole], p, cap, eps)
             need = int(max(np.flatnonzero(bounds > eps), default=-1)) + 1
             if need > cap:
@@ -450,7 +443,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
         # and w (z-p)^-m = ((z-p)^-(m-1) + (p - center) (z-p)^-m) / scale
         out.fill(0)
         out[1 : max_degree + 1] = a[:max_degree]
-        for (p, cap), o in zip(poles, offsets):
+        for (p, cap, _), o in zip(poles, offsets):
             b = a[o : o + cap] / scale
             out[o : o + cap] += (p - center) * b
             out[o : o + cap - 1] += b[1:]
@@ -459,7 +452,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
     def export(k, d, orders) -> SlotRational:
         a = (coef[:k] @ T[:k]).tolist()
         pairs = zip(poles, orders, offsets)
-        blocks = tuple(PoleTerm(p, o, tuple(a[i : i + o])) for (p, _), o, i in pairs)
+        blocks = tuple(PoleTerm(p, o, tuple(a[i : i + o])) for (p, *_), o, i in pairs)
         return SlotRational(center, scale, tuple(a[: d + 1]), blocks)
 
     def add(col, what, unit=None):
@@ -487,7 +480,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
         q_fit = q_buf[: ncols * m].reshape(ncols, m)
         w = (zf - center) / scale
         # 1/(z - p) per pole and the latest raw pole column: order t+1 = order t * u
-        u = [1.0 / (zf - p) for p, _ in poles]
+        u = [1.0 / (zf - p) for p, *_ in poles]
         raw = [np.ones(m, dtype=complex) for _ in poles]
         resid = f_fit.copy()
         samples = {"n_boundary": m, "n_validation_boundary": 4 * m}
@@ -516,7 +509,7 @@ def _escalate(f, region, poles, eps, max_degree, n_boundary) -> SlotFit:
                     else:
                         add(np.ones(m, dtype=complex), ("degree", 0), 0)
                     last, k = k, k + 1
-                for j, (p, _) in enumerate(poles):
+                for j, (p, *_) in enumerate(poles):
                     if orders[j] < needs[j]:
                         raw[j] *= u[j]
                         orders[j] += 1
@@ -579,8 +572,9 @@ def fit_polynomial_slot(
 
 def _validate_poles(
     region: PlanarRegion, poles, automatic: bool = False
-) -> list[tuple[complex, int]]:
-    """The poles as (location, cap) pairs, checked one per bounded hole.
+) -> list[tuple[complex, int, int]]:
+    """The poles as (location, cap, hole index) triples, checked one per
+    bounded hole.
 
     ``automatic`` poles are the hole anchors, in hole order, standing in for
     poles nobody gave: one on the boundary is refused by its hole's size.
@@ -592,7 +586,7 @@ def _validate_poles(
             f"region has {holes} bounded complement component(s) but "
             f"{len(poles)} pole(s) were prescribed"
         )
-    seen: set[int] = set()
+    located: dict[int, tuple[complex, int, int]] = {}
     # the even-odd hole test counts some boundary points as inside a hole
     on_boundary = 1e-12 * region.center_scale()[1]
     for i, (p, cap) in enumerate(poles):
@@ -613,12 +607,12 @@ def _validate_poles(
             raise PolePlacementError(
                 f"pole {p} lies in the region or its unbounded complement component"
             )
-        if idx in seen:
+        if idx in located:
             raise PolePlacementError(
                 f"two prescribed poles share bounded complement component {idx}"
             )
-        seen.add(idx)
-    return poles
+        located[idx] = (p, cap, idx)
+    return list(located.values())
 
 
 def fit_rational_slot(

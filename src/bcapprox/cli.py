@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import jsonio
-from .core import Bicomplex, ExtendedBicomplex, Hyperbolic, _pair_to_complex
+from .core import ExtendedBicomplex, Hyperbolic, _pair_to_complex, _read_int, _read_node
 from .errors import DomainError, IllConditionedError, NullConeError
 
 # moebius needs no numpy, so it loads with the CLI, where the benchmark's
@@ -94,29 +94,22 @@ def _hyp_json(h: Hyperbolic) -> dict:
 def _load_poles(path: str | None):
     if path is None:
         return None
-    obj = jsonio.load_path(path)
-    if not isinstance(obj, dict):
-        raise ValueError(
-            f"poles file: expected an object with keys k1 and k2, got {type(obj).__name__}"
-        )
+    obj = _read_node(jsonio.load_path(path), dict, "poles file", "an object with keys k1 and k2")
     out = []
     for key in ("k1", "k2"):
         entries = obj.get(key)
         if entries is None:
             out.append(None)
             continue
-        if not isinstance(entries, list):
-            raise ValueError(
-                f"poles file: {key} must be a list of poles, got {type(entries).__name__}"
-            )
-        for i, e in enumerate(entries):
-            if not isinstance(e, dict):
-                raise ValueError(
-                    f"poles file: {key} entry {i} must be an object with a location, "
-                    f"got {type(e).__name__}"
-                )
-        # a missing max_order leaves the cap to approximate's default rule
-        out.append([(_pair_to_complex(e["location"]), e.get("max_order")) for e in entries])
+        poles = []
+        for i, e in enumerate(_read_node(entries, list, f"poles file {key}", "a list of poles")):
+            where = f"poles file {key}[{i}]"
+            e = _read_node(e, dict, where, "an object with a location")
+            # a missing max_order leaves the cap to approximate's default rule
+            cap = e.get("max_order")
+            cap = None if cap is None else _read_int(cap, f"{where}.max_order")
+            poles.append((_pair_to_complex(e["location"], f"{where}.location"), cap))
+        out.append(poles)
     return tuple(out)
 
 
@@ -225,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- eval ---------------------------------------------------------------------
 
 
-def _parse_point(text: str):
+def _parse_point(text: str) -> ExtendedBicomplex:
     def finite(num: str) -> float:
         x = float(num)
         if not math.isfinite(x):
@@ -237,15 +230,11 @@ def _parse_point(text: str):
         obj = json.loads(text, parse_float=finite, parse_int=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot parse --at point: {exc}") from exc
-    if isinstance(obj, (int, float)):
-        return Bicomplex.from_scalar(obj)
-    if isinstance(obj, list):
-        return Bicomplex.from_scalar(_pair_to_complex(obj))
     if isinstance(obj, dict):
-        if "inf" in (obj.get("b1"), obj.get("b2")):
-            return ExtendedBicomplex.from_json(obj)
-        return Bicomplex.from_json(obj)
-    raise ValueError(f"cannot interpret --at point {text!r}")
+        return ExtendedBicomplex.from_json(obj, "--at point")
+    # a number or an [re, im] pair stands for the diagonal point (c, c)
+    c = _pair_to_complex(obj, "--at point")
+    return ExtendedBicomplex(c, c)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -256,8 +245,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.moebius:
         m = MoebiusMap.from_json(jsonio.load_path(args.moebius))
-        if isinstance(point, Bicomplex):
-            point = ExtendedBicomplex.from_bicomplex(point)
         try:
             value = moebius_apply(m, point).to_json()
         except DomainError as exc:
@@ -265,8 +252,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         import numpy as np
 
-        if isinstance(point, ExtendedBicomplex):
-            point = point.to_bicomplex()
+        point = point.to_bicomplex()
         if args.series:
             from .series import TruncatedSeries, series_eval
 

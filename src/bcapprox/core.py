@@ -238,23 +238,22 @@ class Bicomplex:
     @staticmethod
     def from_json(obj: dict, where: str = "bicomplex") -> Bicomplex:
         """Read either the idempotent form {"b1", "b2"} or the cartesian
-        form {"z1", "z2"}; ``where`` names a node that is not an object."""
+        form {"z1", "z2"}; ``where`` names the node in a refusal."""
         return Bicomplex(*idempotent_pair_from_json(obj, where))
 
 
 def idempotent_pair_from_json(obj: dict, where: str = "bicomplex") -> tuple[complex, complex]:
     """The idempotent pair (beta1, beta2) of a bicomplex JSON object in
     either accepted form, without building a :class:`Bicomplex`; ``where``
-    names the node in the message that refuses one which is not an object."""
+    names the node in a refusal, formatted only then."""
     if not isinstance(obj, dict):
-        raise ValueError(
-            f"{where} must be an object with keys b1/b2 or z1/z2, got {type(obj).__name__}"
-        )
+        _read_node(obj, dict, where, "an object with keys b1/b2 or z1/z2")
     if "b1" in obj and "b2" in obj:
-        return (_pair_to_complex(obj["b1"]), _pair_to_complex(obj["b2"]))
+        return (_pair_to_complex(obj["b1"], where, "b1"), _pair_to_complex(obj["b2"], where, "b2"))
     if "z1" in obj and "z2" in obj:
-        return idempotent_decompose(_pair_to_complex(obj["z1"]), _pair_to_complex(obj["z2"]))
-    raise ValueError("bicomplex JSON needs keys b1/b2 or z1/z2")
+        z1, z2 = _pair_to_complex(obj["z1"], where, "z1"), _pair_to_complex(obj["z2"], where, "z2")
+        return idempotent_decompose(z1, z2)
+    raise ValueError(f"{where} needs keys b1/b2 or z1/z2")
 
 
 def _modulus(z: complex) -> float:
@@ -266,23 +265,61 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def _pair_to_complex(v) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, _Number):
-        return complex(v)
-    raise ValueError(f"expected [re, im], got {v!r}")
+# -- the one reader of input nodes: a malformed node of an input file is
+# refused as "<place> must be <what>, got <type>", the place being the
+# file's kind and the node's key path
+
+_REALS = (float, int)  # the types of a JSON number; a bool has its own
 
 
-def _read_int(v, what: str) -> int:
+def _read_node(v, kind: type, where: str, what: str, length: int | None = None):
+    """v when it is a JSON object (``kind`` dict) or list (``kind`` list, of
+    ``length`` items when given); anything else is refused by its place."""
+    if isinstance(v, kind) and length in (None, len(v)):
+        return v
+    got = f"{len(v)} items" if isinstance(v, kind) else type(v).__name__
+    raise ValueError(f"{where} must be {what}, got {got}")
+
+
+def _pair_to_complex(v, where: str, key: str = "") -> complex:
+    """A JSON number, or an [re, im] pair of them, as a complex; anything
+    else is refused by its place, ``where`` or, with a ``key``, ``where.key``
+    (formatted only then: series files read two pairs per coefficient)."""
+    try:
+        if type(v) is list and len(v) == 2:
+            re, im = v
+            if type(re) in _REALS and type(im) in _REALS:
+                return complex(re, im)
+        elif type(v) in _REALS:
+            return complex(v)
+        problem = f"must be a number or a pair of numbers, expected [re, im], got {v!r}"
+    except OverflowError:
+        problem = "lies beyond the float range"
+    raise ValueError(f"{where}.{key} {problem}" if key else f"{where} {problem}")
+
+
+def _read_float(v, where: str) -> float:
+    """v as a float when it is a JSON number within the float range."""
+    if type(v) in _REALS:
+        return _pair_to_complex(v, where).real
+    raise ValueError(f"{where} must be a number, got {type(v).__name__}")
+
+
+def _read_pairs(v, where: str) -> tuple[complex, ...]:
+    """A JSON list of numbers or [re, im] pairs, each named by its place."""
+    items = _read_node(v, list, where, "a list")
+    return tuple(_pair_to_complex(c, f"{where}[{i}]") for i, c in enumerate(items))
+
+
+def _read_int(v, where: str) -> int:
     """v as an int when it is an integer or an integral float; a bool, a
-    fraction or anything else is refused by name, never rounded."""
+    fraction or anything else is refused by its place, never rounded."""
     if not isinstance(v, bool):
         if isinstance(v, numbers.Integral):
             return int(v)
         if isinstance(v, float) and v.is_integer():
             return int(v)
-    raise ValueError(f"{what} must be an integer, got {v!r}")
+    raise ValueError(f"{where} must be an integer, got {v!r}")
 
 
 # -- module-level operation surface (mirrors the method API) -------------
@@ -399,10 +436,10 @@ class ExtendedBicomplex:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> ExtendedBicomplex:
-        def slot(v):
-            return INF if v == "inf" else _pair_to_complex(v)
+    def from_json(obj: dict, where: str = "extended bicomplex") -> ExtendedBicomplex:
+        def slot(k):
+            return INF if obj[k] == "inf" else _pair_to_complex(obj[k], where, k)
 
-        if "b1" in obj and "b2" in obj:
-            return ExtendedBicomplex(slot(obj["b1"]), slot(obj["b2"]))
-        return ExtendedBicomplex.from_bicomplex(Bicomplex.from_json(obj))
+        if isinstance(obj, dict) and "inf" in (obj.get("b1"), obj.get("b2")):
+            return ExtendedBicomplex(slot("b1"), slot("b2"))
+        return ExtendedBicomplex.from_bicomplex(Bicomplex.from_json(obj, where))

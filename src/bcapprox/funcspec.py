@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _pair_to_complex, _read_int
+from .core import _pair_to_complex, _read_int, _read_node, _read_pairs
 from .errors import DomainError
 from .regions import PlanarRegion
 
@@ -72,32 +72,27 @@ class Expr:
     @staticmethod
     def from_json(obj: dict, where: str = "expression") -> Expr:
         """The expression tree of a JSON node; ``where`` names the node in
-        the message that refuses one which is not an object."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where} must be an object with an op, got {type(obj).__name__}")
-        op = obj.get("op")
+        a refusal."""
+        op = _read_node(obj, dict, where, "an object with an op").get("op")
         if op == "const":
-            return Const(_pair_to_complex(obj["value"]))
+            return Const(_pair_to_complex(obj["value"], f"{where}.value"))
         if op == "var":
             return Var()
-        if op in ("add", "sub", "mul"):
-            cls = {"add": Add, "sub": Sub, "mul": Mul}[op]
-            a, b = obj["args"]
-            return cls(Expr.from_json(a, f"{where}.args[0]"), Expr.from_json(b, f"{where}.args[1]"))
-        if op == "div":
-            a, b = obj["args"]
-            poles = tuple(_pair_to_complex(p) for p in obj.get("poles", []))
+        if op in ("add", "sub", "mul", "div"):
+            a, b = _read_node(obj["args"], list, f"{where}.args", "a list of two expressions", 2)
             a, b = Expr.from_json(a, f"{where}.args[0]"), Expr.from_json(b, f"{where}.args[1]")
-            return Div(a, b, poles)
+            if op != "div":
+                return {"add": Add, "sub": Sub, "mul": Mul}[op](a, b)
+            return Div(a, b, _read_pairs(obj.get("poles", []), f"{where}.poles"))
         if op == "pow":
             base = Expr.from_json(obj["base"], f"{where}.base")
-            return Pow(base, _read_int(obj["exponent"], "pow exponent"))
+            return Pow(base, _read_int(obj["exponent"], f"{where}.exponent"))
         if op == "exp":
             return Exp(Expr.from_json(obj["arg"], f"{where}.arg"))
         if op == "compose":
             outer = Expr.from_json(obj["outer"], f"{where}.outer")
             return Compose(outer, Expr.from_json(obj["inner"], f"{where}.inner"))
-        raise ValueError(f"unknown expression op {op!r}")
+        raise ValueError(f"{where}.op must name an expression op, got {op!r}")
 
 
 @dataclass(frozen=True)
@@ -249,10 +244,7 @@ class FunctionSpec:
 
     @staticmethod
     def from_json(obj: dict) -> FunctionSpec:
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"function: expected an object with keys f1 and f2, got {type(obj).__name__}"
-            )
+        _read_node(obj, dict, "function", "an object with keys f1 and f2")
         f1 = Expr.from_json(obj["f1"], "function f1")
         return FunctionSpec(f1, Expr.from_json(obj["f2"], "function f2"))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import INF, Bicomplex, ExtendedBicomplex, _slot_is_inf
+from .core import INF, Bicomplex, ExtendedBicomplex, _read_node, _slot_is_inf
 from .errors import DegenerateMapError, DomainError
 
 _POLE_SNAP = 1e-13
@@ -75,10 +75,7 @@ class MoebiusMap:
 
     @staticmethod
     def from_json(obj: dict) -> MoebiusMap:
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"moebius: expected an object with keys A, B, C and D, got {type(obj).__name__}"
-            )
+        _read_node(obj, dict, "moebius", "an object with keys A, B, C and D")
         return moebius_new(*(Bicomplex.from_json(obj[k], f"moebius {k}") for k in "ABCD"))
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _pair_to_complex
+from .core import _pair_to_complex, _read_float, _read_node, _read_pairs
 from .errors import DomainError, GeometryError
 
 _MIN_PER_CURVE = 8
@@ -216,22 +216,22 @@ class PlanarRegion:
 
     @staticmethod
     def from_json(obj: dict, where: str = "region") -> PlanarRegion:
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where} must be an object with a shape, got {type(obj).__name__}")
-        shape = obj.get("shape")
+        shape = _read_node(obj, dict, where, "an object with a shape").get("shape")
         if shape == "disk":
-            return Disk(_pair_to_complex(obj["center"]), float(obj["radius"]))
+            center = _pair_to_complex(obj["center"], f"{where}.center")
+            return Disk(center, _read_float(obj["radius"], f"{where}.radius"))
         if shape == "annulus":
-            c = _pair_to_complex(obj["center"])
-            return Annulus(c, float(obj["r_in"]), float(obj["r_out"]))
+            c = _pair_to_complex(obj["center"], f"{where}.center")
+            r_in = _read_float(obj["r_in"], f"{where}.r_in")
+            return Annulus(c, r_in, _read_float(obj["r_out"], f"{where}.r_out"))
         if shape == "polygon":
-            return Polygon(tuple(_pair_to_complex(v) for v in obj["vertices"]))
+            return Polygon(_read_pairs(obj["vertices"], f"{where}.vertices"))
         if shape == "polygon-with-holes":
-            return PolygonWithHoles(
-                tuple(_pair_to_complex(v) for v in obj["outer"]),
-                tuple(tuple(_pair_to_complex(v) for v in hole) for hole in obj["holes"]),
-            )
-        raise GeometryError(f"unknown shape {shape!r}")
+            outer = _read_pairs(obj["outer"], f"{where}.outer")
+            holes = _read_node(obj["holes"], list, f"{where}.holes", "a list")
+            holes = tuple(_read_pairs(h, f"{where}.holes[{i}]") for i, h in enumerate(holes))
+            return PolygonWithHoles(outer, holes)
+        raise GeometryError(f"{where}.shape must name a shape, got {shape!r}")
 
 
 def _pair_json(c: complex) -> list[float]:
@@ -351,10 +351,7 @@ class ProductCompact:
 
     @staticmethod
     def from_json(obj: dict) -> ProductCompact:
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"region: expected an object with keys k1 and k2, got {type(obj).__name__}"
-            )
+        _read_node(obj, dict, "region", "an object with keys k1 and k2")
         return ProductCompact(
             PlanarRegion.from_json(obj["k1"], "region k1"),
             PlanarRegion.from_json(obj["k2"], "region k2"),

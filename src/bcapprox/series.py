@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Bicomplex, Hyperbolic, _read_int, idempotent_pair_from_json
+from .core import Bicomplex, Hyperbolic, _read_int, _read_node, idempotent_pair_from_json
 from .errors import DomainError, InvalidRotationError, NullConeError
 
 KIND_POWER = "power-F"
@@ -107,16 +107,10 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(obj: dict) -> TruncatedSeries:
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"series: expected an object with keys kind and coeffs, got {type(obj).__name__}"
-            )
-        kind = obj["kind"]
+        kind = _read_node(obj, dict, "series", "an object with keys kind and coeffs")["kind"]
         if kind not in (KIND_POWER, KIND_LAURENT):
-            raise ValueError(f"unknown series kind {kind!r}")
-        coeffs = obj["coeffs"]
-        if not isinstance(coeffs, list):
-            raise ValueError(f"series coeffs must be a list, got {type(coeffs).__name__}")
+            raise ValueError(f"series kind must be {KIND_POWER} or {KIND_LAURENT}, got {kind!r}")
+        coeffs = _read_node(obj["coeffs"], list, "series coeffs", "a list")
         # one flat pass into the array: no per-coefficient container outlives
         # its step, which keeps large files from feeding the cyclic collector
         flat = chain.from_iterable(map(idempotent_pair_from_json, coeffs))

@@ -217,6 +217,24 @@ _TWO_HOLES = PolygonWithHoles(
 )
 
 
+def test_each_pole_is_located_once_per_fit(monkeypatch):
+    # the pole check finds each pole's hole, and the fit reuses it: the fit
+    # used to locate every pole a second time
+    located = []
+    hole_index = PolygonWithHoles.hole_index
+
+    def counted(region, p):
+        located.append(p)
+        return hole_index(region, p)
+
+    monkeypatch.setattr(PolygonWithHoles, "hole_index", counted)
+    poles = [(-1 + 0j, 3), (1 + 0j, 3)]
+    f = exp(var()) + Div(Const(1), var() + 1) + Div(Const(2), var() - 1)
+    fit = fit_rational_slot(f, _TWO_HOLES, poles, 1e-8, 20)
+    assert fit.pole_orders[0] >= 1 and fit.pole_orders[1] >= 1
+    assert located == [p for p, _ in poles]
+
+
 def test_fit_points_are_every_fourth_validation_point(monkeypatch):
     # one sample per slot: sample_region runs once, f runs once on it, and
     # the fit sample is its every fourth point, on every curve

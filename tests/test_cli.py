@@ -25,6 +25,8 @@ from bcapprox import (
     BicomplexRational,
     Disk,
     FunctionSpec,
+    Polygon,
+    PolygonWithHoles,
     ProductCompact,
     SlotRational,
     exp,
@@ -38,7 +40,7 @@ from bcapprox import (
     var,
 )
 from bcapprox import cli
-from bcapprox.funcspec import Const, Div, Var
+from bcapprox.funcspec import Compose, Const, Div, Var
 
 
 def child_env(env_extra=None):
@@ -307,11 +309,12 @@ def test_approx_huge_pole_order_refused_by_budget_exit2(workdir):
     assert not (workdir / "rep.json").exists()
 
 
-@pytest.mark.parametrize("location", [["nan", 0], [0, "inf"]])
+@pytest.mark.parametrize("location", [[math.nan, 0], [0, math.inf]])
 def test_approx_non_finite_pole_location_exit2(workdir, location):
-    # NaN used to be refused as lying in the region
+    # NaN used to be refused as lying in the region; the file holds the
+    # JSON literals NaN and Infinity, which the deterministic writer refuses
     poles = {"k1": [{"location": location, "max_order": 2}], "k2": []}
-    jsonio.dump_path(poles, workdir / "p.json")
+    (workdir / "p.json").write_text(json.dumps(poles), encoding="ascii")
     r = run_cli(
         [
             "approx", "--function", "f_invz.json", "--region", "k_annulus.json",
@@ -320,7 +323,7 @@ def test_approx_non_finite_pole_location_exit2(workdir, location):
         workdir,
     )
     assert r.returncode == 2
-    p = complex(*map(float, location))
+    p = complex(*location)
     assert json.loads(r.stderr) == {"error": "input", "detail": f"pole {p} is not finite"}
     assert not (workdir / "rep.json").exists()
 
@@ -398,14 +401,14 @@ def test_approx_max_degree_zero_on_holed_region(workdir):
 @pytest.mark.parametrize(
     "poles, detail",
     [
-        ([1, 2], "poles file: expected an object with keys k1 and k2, got list"),
+        ([1, 2], "poles file must be an object with keys k1 and k2, got list"),
         (
             {"k1": {"location": [0, 0]}},
-            "poles file: k1 must be a list of poles, got dict",
+            "poles file k1 must be a list of poles, got dict",
         ),
         (
             {"k1": [{"location": [0, 0]}, [0, 0]]},
-            "poles file: k1 entry 1 must be an object with a location, got list",
+            "poles file k1[1] must be an object with a location, got list",
         ),
     ],
     ids=["top-level-list", "slot-object", "entry-list"],
@@ -654,10 +657,10 @@ _UNIT_DISK_JSON = Disk(0, 1.0).to_json()
             {"f1": {"op": "exp", "arg": None}, "f2": _VAR}, None,
             "function f1.arg must be an object with an op, got NoneType",
         ),
-        ([_VAR, _VAR], None, "function: expected an object with keys f1 and f2, got list"),
+        ([_VAR, _VAR], None, "function must be an object with keys f1 and f2, got list"),
         (None, {"k1": [1, 2], "k2": _UNIT_DISK_JSON}, "region k1 must be an object with a shape, got list"),
         (None, {"k1": _UNIT_DISK_JSON, "k2": 3}, "region k2 must be an object with a shape, got int"),
-        (None, [[1, 2]], "region: expected an object with keys k1 and k2, got list"),
+        (None, [[1, 2]], "region must be an object with keys k1 and k2, got list"),
     ],
     ids=[
         "f1-list", "f1-string", "args-list", "arg-null", "function-list",
@@ -1154,13 +1157,13 @@ _ONE = {"b1": [1, 0], "b2": [1, 0]}
          "rational r1 must be an object with center, scale, poly and poles, got list"),
         ("--rational", {"r1": _SLOT, "r2": dict(_SLOT, poles=[[0, 1]])},
          "rational r2.poles[0] must be an object with location, order and coeffs, got list"),
-        ("--rational", [1, 2], "rational: expected an object with keys r1 and r2, got list"),
+        ("--rational", [1, 2], "rational must be an object with keys r1 and r2, got list"),
         ("--rational", {"r1": dict(_SLOT, poly=5), "r2": _SLOT},
          "rational r1.poly must be a list, got int"),
-        ("--moebius", [1, 2], "moebius: expected an object with keys A, B, C and D, got list"),
+        ("--moebius", [1, 2], "moebius must be an object with keys A, B, C and D, got list"),
         ("--moebius", {"A": _ONE, "B": 5, "C": _ONE, "D": [1, 2]},
          "moebius B must be an object with keys b1/b2 or z1/z2, got int"),
-        ("--series", [1, 2, 3], "series: expected an object with keys kind and coeffs, got list"),
+        ("--series", [1, 2, 3], "series must be an object with keys kind and coeffs, got list"),
         ("--series", {"kind": "power-F", "coeffs": [{"b1": [0, 0], "b2": [0, 0]}, _ONE, 5]},
          "series coeffs[2] must be an object with keys b1/b2 or z1/z2, got int"),
         ("--series", {"kind": "power-F", "coeffs": 5}, "series coeffs must be a list, got int"),
@@ -1190,29 +1193,165 @@ _FUZZ_EVAL_FILES = [
 ]
 
 
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_eval_node_fuzz_keeps_exit_contract(tmp_path_factory, data):
-    # one whole node of a valid series, Moebius or rational file replaced by
-    # a list, a string, a number or null: the run ends in 0, 1 or 2, and no
-    # exception or warning escapes cli.main
-    flag, obj = data.draw(st.sampled_from(_FUZZ_EVAL_FILES))
-    obj = copy.deepcopy(obj)
-    path = data.draw(st.sampled_from(list(_node_paths(obj))))
-    target = obj
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = data.draw(st.sampled_from([[1, 2], "exp", 3, 0.5, None]))
-    wd = tmp_path_factory.mktemp("fuzz")
-    (wd / "in.json").write_text(json.dumps(obj), encoding="ascii")
+def _main_strict(argv):
+    """cli.main in this process with warnings as errors: (exit code, stderr)."""
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = cli.main(["eval", flag, str(wd / "in.json"), "--at", "0.5"])
-    assert code in (0, 1, 2), err.getvalue()
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+_FUZZ_AT = {"b1": [0.5, 0], "b2": [0.25, 0.1]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_eval_node_fuzz_keeps_exit_contract(tmp_path_factory, data):
+    # one whole node of a valid series, Moebius or rational file, or of the
+    # --at point, replaced by a list, a string, a number or null: the run
+    # ends in 0, 1 or 2, and no exception or warning escapes cli.main
+    flag, obj = data.draw(st.sampled_from(_FUZZ_EVAL_FILES))
+    doc = copy.deepcopy({"file": obj, "at": _FUZZ_AT})
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(st.sampled_from([[1, 2], "exp", 3, 0.5, None]))
+    wd = tmp_path_factory.mktemp("fuzz")
+    (wd / "in.json").write_text(json.dumps(doc["file"]), encoding="ascii")
+    code, err = _main_strict(["eval", flag, str(wd / "in.json"), "--at", json.dumps(doc["at"])])
+    assert code in (0, 1, 2), err
     if code == 2:
-        assert json.loads(err.getvalue())["error"] == "input"
+        assert json.loads(err)["error"] == "input"
+
+
+# Every input kind, with valid documents.  Each leaf or list item of one is
+# replaced in turn by a value of another JSON type; the place that names it
+# is the file's kind and the node's key path, as the readers write it.
+_PLACE_DOCS = {
+    "function": [
+        FunctionSpec(
+            exp(var()) + Div(Const(1), Var() - 3, poles=(3 + 0j,)),
+            Compose(exp(var()), var() ** 2) * Const(0.5),
+        ).to_json(),
+    ],
+    "region": [
+        ProductCompact(
+            PolygonWithHoles((-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j), ((-0.5, 0.5, 0.5j),)),
+            Annulus(0, 1.0, 2.0),
+        ).to_json(),
+        ProductCompact(Disk(0.5j, 1.0), Polygon((0, 1, 1j))).to_json(),
+    ],
+    "poles file": [{"k1": [{"location": [0, 0], "max_order": 2}], "k2": []}],
+    "series": [_FUZZ_EVAL_FILES[0][1] | {"N": 2}],
+    "moebius": [_FUZZ_EVAL_FILES[1][1]],
+    "rational": [_FUZZ_EVAL_FILES[2][1]],
+    "--at point": [_FUZZ_AT, {"z1": [0.1, 0], "z2": [0, 0.2]}],
+}
+
+
+def _is_pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v)
+
+
+def _replaceable(v, path=(), in_pair=False):
+    """(path, value, in a pair) for v and every node below it."""
+    yield path, v, in_pair
+    items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ()
+    for key, x in items:
+        yield from _replaceable(x, path + (key,), _is_pair(v))
+
+
+def _place(kind, path):
+    text = kind
+    for i, key in enumerate(path):
+        if isinstance(key, int):
+            text += f"[{key}]"
+        else:
+            text += f"{'.' if i or kind == '--at point' else ' '}{key}"
+    return text
+
+
+def _place_argv(kind, doc, wd):
+    fit = ["--eps", "1e-2", "--max-degree", "2", "--out", str(wd / "rep.json")]
+    files = {
+        "f.json": FunctionSpec(var(), var()).to_json(),
+        "f_invz.json": FunctionSpec(Div(Const(1), Var(), poles=(0j,)), exp(var())).to_json(),
+        "k.json": ProductCompact(Disk(0, 1.0), Disk(0, 1.0)).to_json(),
+        "k_annulus.json": ProductCompact(Annulus(0, 1.0, 2.0), Disk(0, 1.0)).to_json(),
+        "m.json": _FUZZ_EVAL_FILES[1][1],
+        "in.json": None if kind == "--at point" else doc,
+    }
+    for name, obj in files.items():
+        (wd / name).write_text(json.dumps(obj), encoding="ascii")
+    f, k, p = (str(wd / n) for n in ("f.json", "k.json", "in.json"))
+    return {
+        "function": ["approx", "--function", p, "--region", k, *fit],
+        "region": ["approx", "--function", f, "--region", p, *fit],
+        "poles file": ["approx", "--function", str(wd / "f_invz.json"),
+                       "--region", str(wd / "k_annulus.json"), "--poles", p, *fit],
+        "series": ["eval", "--series", p, "--at", "0.5"],
+        "moebius": ["eval", "--moebius", p, "--at", "0.5"],
+        "rational": ["eval", "--rational", p, "--at", "0.5"],
+        "--at point": ["eval", "--moebius", str(wd / "m.json"), "--at", json.dumps(doc)],
+    }[kind]
+
+
+def _wrong_values(value, admits_number):
+    """One value of each JSON type that cannot stand where value does."""
+    right = {type(value)}
+    if admits_number or type(value) in (int, float):
+        right |= {int, float}
+    return [w for w in (True, "x", [1, 2, 3], {"a": 1}, 3.5) if type(w) not in right]
+
+
+@pytest.mark.parametrize("kind", list(_PLACE_DOCS))
+def test_every_refusal_names_its_place(tmp_path, kind):
+    # a node of the wrong JSON type used to be refused in Python's words, with
+    # no place ("could not convert string to float: 'x'"), or read: a bool
+    # as 1 where a number belongs, a string such as "1" in a pair
+    missed = []
+    for doc in _PLACE_DOCS[kind]:
+        assert _main_strict(_place_argv(kind, doc, tmp_path))[0] in (0, 1)
+        for path, value, in_pair in _replaceable(doc):
+            # a number stands for a pair, and for a whole --at point
+            admits_number = _is_pair(value) or (kind == "--at point" and not path)
+            place = _place(kind, path[:-1] if in_pair else path)
+            for wrong in _wrong_values(value, admits_number):
+                bad = json.loads(json.dumps(doc))  # a copy that shares no node
+                if path:
+                    target = bad
+                    for key in path[:-1]:
+                        target = target[key]
+                    target[path[-1]] = wrong
+                else:
+                    bad = wrong
+                code, err = _main_strict(_place_argv(kind, bad, tmp_path))
+                if code != 2 or place not in json.loads(err)["detail"]:
+                    missed.append((path, wrong, code, err.strip()))
+    assert missed == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("radius", 10**400), ("center", [0, -(10**400)])],
+    ids=["radius", "center"],
+)
+def test_integer_beyond_the_float_range_refused_by_place(tmp_path, field, value):
+    # an integer literal too large for a float escaped cli.main as an
+    # OverflowError: a traceback and exit 1
+    disk = dict(Disk(0, 1.0).to_json(), **{field: value})
+    (tmp_path / "k.json").write_text(json.dumps({"k1": disk, "k2": disk}), encoding="ascii")
+    jsonio.dump_path(FunctionSpec(var(), var()).to_json(), tmp_path / "f.json")
+    code, err = _main_strict([
+        "approx", "--function", str(tmp_path / "f.json"), "--region", str(tmp_path / "k.json"),
+        "--eps", "1e-8", "--out", str(tmp_path / "rep.json"),
+    ])
+    assert code == 2
+    detail = f"region k1.{field} lies beyond the float range"
+    assert json.loads(err) == {"error": "input", "detail": detail}
 
 
 def _main(argv):
@@ -1269,17 +1408,17 @@ def _integer_field_case(workdir, field, value):
         pow_z = {"op": "pow", "base": {"op": "var"}, "exponent": value}
         jsonio.dump_path({"f1": pow_z, "f2": {"op": "var"}}, bad)
         return ["approx", "--function", str(bad), "--region", str(workdir / "k_bidisk.json"),
-                *approx], "pow exponent"
+                *approx], "function f1.exponent"
     if field == "max_order":
         jsonio.dump_path({"k1": [{"location": [0, 0], "max_order": value}], "k2": None}, bad)
         return ["approx", "--function", str(workdir / "f_invz.json"),
                 "--region", str(workdir / "k_annulus.json"), "--poles", str(bad),
-                *approx], "pole max_order"
+                *approx], "poles file k1[0].max_order"
     if field == "order":
         term = {"location": [0, 0], "order": value, "coeffs": [[1, 0], [0, 0]]}
         slot = {"center": [0, 0], "scale": 1.0, "poly": [[1, 0]], "poles": [term]}
         jsonio.dump_path({"r1": slot, "r2": slot}, bad)
-        return ["eval", "--rational", str(bad), "--at", "0.5"], "pole term order"
+        return ["eval", "--rational", str(bad), "--at", "0.5"], "rational r1.poles[0].order"
     series = power_series([0, 1, 0.5]).to_json()
     series["N"] = value
     jsonio.dump_path(series, bad)

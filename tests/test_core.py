@@ -1,5 +1,7 @@
 """Bicomplex arithmetic: exact structure, conjugations, norms, null cone."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from bcapprox import (
     idempotent_decompose,
     is_zero_divisor,
 )
-from bcapprox.core import _read_int
+from bcapprox.core import _pair_to_complex, _read_float, _read_int, _read_node
 
 
 def rand_bicomplex(rng) -> Bicomplex:
@@ -305,3 +307,49 @@ def test_read_int_takes_integers_and_integral_floats(value):
 def test_read_int_refuses_the_rest_by_name(value):
     with pytest.raises(ValueError, match=r"^field must be an integer, got "):
         _read_int(value, "field")
+
+
+@pytest.mark.parametrize(
+    "value, number",
+    [([1, -0.5], 1 - 0.5j), ([2, 3], 2 + 3j), (-0.0, complex(-0.0, 0)), (4, 4 + 0j)],
+)
+def test_pair_reads_json_numbers(value, number):
+    got = _pair_to_complex(value, "node")
+    assert got == number and math.copysign(1, got.real) == math.copysign(1, number.real)
+
+
+@pytest.mark.parametrize(
+    "value", [True, "1", None, [1, "2"], [True, 0], [0.5], [1, 2, 3], {"re": 1}, [[1], 2]]
+)
+def test_pair_refuses_the_rest_by_place(value):
+    # a bool or a string in a pair used to read as a number: True as 1
+    with pytest.raises(ValueError, match=r"^node\.b1 must be a number or a pair of numbers, "):
+        _pair_to_complex(value, "node", "b1")
+
+
+@pytest.mark.parametrize("value", [True, "2.5", None, [2.5], {"r": 1}])
+def test_read_float_refuses_what_is_no_number_by_place(value):
+    with pytest.raises(ValueError, match=rf"^node must be a number, got {type(value).__name__}$"):
+        _read_float(value, "node")
+
+
+@pytest.mark.parametrize(
+    "read", [lambda v: _read_float(v, "node"), lambda v: _pair_to_complex(v, "node")]
+)
+def test_integer_beyond_the_float_range_refused_by_place(read):
+    with pytest.raises(ValueError, match=r"^node lies beyond the float range$"):
+        read(10**400)
+
+
+@pytest.mark.parametrize(
+    "value, kind, what, detail",
+    [
+        ([1, 2], dict, "an object", "node must be an object, got list"),
+        ({"a": 1}, list, "a list of two", "node must be a list of two, got dict"),
+        ([1, 2, 3], list, "a list of two", "node must be a list of two, got 3 items"),
+    ],
+)
+def test_read_node_refuses_by_place(value, kind, what, detail):
+    with pytest.raises(ValueError) as exc:
+        _read_node(value, kind, "node", what, 2)
+    assert str(exc.value) == detail

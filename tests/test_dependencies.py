@@ -49,3 +49,17 @@ def test_library_draws_no_random_numbers():
                 if name.startswith(banned) or name.split(".")[-1] == "default_rng":
                     hits.append(f"{path.name}:{node.lineno}: {name}")
     assert hits == []
+
+
+def test_only_core_refuses_a_node_by_its_type():
+    # every input node of the wrong JSON type is refused by core.py's reader
+    # helpers; a module that words its own "got <type>" refusal has grown a
+    # second rule beside them
+    hits = []
+    for path in sorted((ROOT / "src" / "bcapprox").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr) and "got {type(" in ast.unparse(node):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
